@@ -55,7 +55,6 @@ from .optimizer import (
 from .workload import (
     SyntheticSpec,
     TraceParseError,
-    TraceRecord,
     export_trace_csv,
     generate_synthetic,
     ingest_trace,
@@ -112,7 +111,6 @@ __all__ = [
     "minmin_seeded_hybrid",
     # workload
     "SyntheticSpec",
-    "TraceRecord",
     "TraceParseError",
     "generate_synthetic",
     "ingest_trace",

@@ -75,6 +75,10 @@ DEFAULTS: dict = {
 
 _CONFIG_KEYS = frozenset(DEFAULTS)
 
+# Keys whose default is None but whose value, when set, is a number; every
+# other None-default key holds a path or a name.
+_OPTIONAL_FLOATS = frozenset({"v_max", "d_min", "mutation_sigma_scale", "beta"})
+
 
 class UsageError(Exception):
     """Bad invocation: reported like an argparse error, exit code 2."""
@@ -173,7 +177,28 @@ def _load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys in {path}: {', '.join(unknown)}")
+    for key, value in data.items():
+        if not _config_value_ok(key, value):
+            raise UsageError(
+                f"config key {key} in {path} has the wrong type: {value!r} ({type(value).__name__})"
+            )
     return data
+
+
+def _config_value_ok(key: str, value: object) -> bool:
+    """Does a config file value have the type of the key's default?"""
+    default = DEFAULTS[key]
+    if value is None:
+        return default is None
+    if key == "algos" and isinstance(value, list):
+        return all(isinstance(name, str) for name in value)
+    if default is None:
+        kind = float if key in _OPTIONAL_FLOATS else str
+    else:
+        kind = type(default)
+    if isinstance(value, bool):  # bool is a subclass of int
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def resolve_settings(args: argparse.Namespace) -> dict:
@@ -185,12 +210,19 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in settings and value is not None:
             settings[key] = value
-    if settings["limit"] is not None and settings["limit"] < 1:
-        raise UsageError(f"--limit must be >= 1, got {settings['limit']}")
-    if settings["replicates"] < 1:
-        raise UsageError(f"--replicates must be >= 1, got {settings['replicates']}")
-    if settings["jobs"] < 1:
-        raise UsageError(f"--jobs must be >= 1, got {settings['jobs']}")
+    for key in ("limit", "replicates", "jobs", "tasks", "vms"):
+        if settings[key] is not None and settings[key] < 1:
+            raise UsageError(f"--{key} must be >= 1, got {settings[key]}")
+    if not settings["scale_mi_per_core_s"] > 0:
+        raise UsageError(f"--scale must be positive, got {settings['scale_mi_per_core_s']}")
+    # the config and spec constructors validate the remaining values, and
+    # their messages name the offending field, which is also the key
+    try:
+        _settings_config(settings, seed=settings["seed"])
+        if not settings["trace"]:
+            SyntheticSpec(settings["tasks"], settings["min_length_mi"], settings["max_length_mi"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return settings
 
 

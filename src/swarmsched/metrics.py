@@ -18,6 +18,7 @@ __all__ = [
     "balance_optimality_index",
     "fitness",
     "default_beta",
+    "score_loads",
     "evaluate_assignment",
 ]
 
@@ -54,33 +55,37 @@ def load_vector(assignment: Sequence[int] | np.ndarray, etc: EtcMatrix) -> np.nd
     return np.bincount(vm_of, weights=chosen, minlength=etc.m)
 
 
-def coefficient_of_variation(loads: Sequence[float] | np.ndarray) -> float:
+def coefficient_of_variation(loads: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Standard deviation of VM loads over their mean.
 
     Population form (divide by m, not m - 1): the fleet is the whole
-    population, not a sample from one.
+    population, not a sample from one. A 2-D input holds one load vector per
+    row and gives one CV per row.
     """
     arr = np.asarray(loads, dtype=float)
-    if arr.size == 0:
+    if arr.shape[-1] == 0:
         raise ValueError("undefined CV: no loads")
-    mean = arr.mean()
-    if mean == 0:
+    mean = arr.mean(axis=-1)
+    if np.any(mean == 0):
         raise ValueError("undefined CV: zero mean load")
-    return float(arr.std() / mean)
+    cv = arr.std(axis=-1) / mean
+    return float(cv) if arr.ndim == 1 else cv
 
 
-def balance_optimality_index(cv: float) -> float:
+def balance_optimality_index(cv: float | np.ndarray) -> float | np.ndarray:
     """1 / (1 + CV): 1.0 at perfect balance, falling toward 0 with imbalance."""
-    if cv < 0:
+    if np.any(cv < 0):
         raise ValueError(f"cv must be non-negative, got {cv}")
     return 1.0 / (1.0 + cv)
 
 
-def fitness(makespan_s: float, boi: float, beta: float) -> float:
+def fitness(
+    makespan_s: float | np.ndarray, boi: float | np.ndarray, beta: float
+) -> float | np.ndarray:
     """Makespan plus the imbalance penalty beta * (1 - BOI); lower is better."""
-    if not makespan_s > 0:
+    if not np.all(makespan_s > 0):
         raise ValueError(f"makespan_s must be positive, got {makespan_s}")
-    if not 0 < boi <= 1:
+    if not np.all((0 < boi) & (boi <= 1)):
         raise ValueError(f"boi must lie in (0, 1], got {boi}")
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
@@ -97,6 +102,21 @@ def default_beta(etc: EtcMatrix) -> float:
     return 0.5 * float(etc.entries.mean()) * etc.n / etc.m
 
 
+def score_loads(
+    loads: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Makespan, CV, BOI and fitness of per-VM loads, one of each per row.
+
+    Under back-to-back per-VM execution the makespan is the largest load. A
+    whole swarm scores in one pass from its (S, m) loads matrix; each row
+    gives bit for bit what the same row alone would.
+    """
+    makespan_s = np.max(loads, axis=-1)
+    cv = coefficient_of_variation(loads)
+    boi = balance_optimality_index(cv)
+    return makespan_s, cv, boi, fitness(makespan_s, boi, beta)
+
+
 def evaluate_assignment(
     assignment: Sequence[int] | np.ndarray,
     etc: EtcMatrix,
@@ -107,17 +127,14 @@ def evaluate_assignment(
 
     `loads` can be supplied by callers that already accumulated per-VM busy
     time (the capacity-aware mapper does); it must equal load_vector's output.
-    Under back-to-back per-VM execution the makespan is the largest load.
     """
     if loads is None:
         loads = load_vector(assignment, etc)
-    makespan_s = float(np.max(loads))
-    cv = coefficient_of_variation(loads)
-    boi = balance_optimality_index(cv)
+    makespan_s, cv, boi, fit = (float(v) for v in score_loads(np.asarray(loads, float), beta))
     return MetricsReport(
         makespan_s=makespan_s,
         throughput_tps=throughput(etc.n, makespan_s),
         cv=cv,
         boi=boi,
-        fitness=fitness(makespan_s, boi, beta),
+        fitness=fit,
     )

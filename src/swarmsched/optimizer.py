@@ -12,6 +12,10 @@ offsets toward an attractor take their shortest way round the circle, and
 every new position folds back into [0, m). Plain differences, and an
 encircling distance measured from the origin, would instead pull coordinates
 toward the middle of the box and decodes toward the middle VMs.
+
+The swarm lives in (S, n) matrices, one row per particle. A step moves it in
+blocks of rows with one array expression per update rule, then decodes each
+row and scores the whole swarm from its (S, m) loads matrix in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .encoding import (
     map_with_loads,
     position_bound,
 )
-from .metrics import MetricsReport, default_beta, evaluate_assignment
+from .metrics import MetricsReport, default_beta, evaluate_assignment, score_loads
 
 __all__ = [
     "OptimizerConfig",
@@ -63,6 +67,11 @@ class OptimizerConfig:
     v_max, d_min, mutation_sigma_scale and beta default to None and are filled
     in against a concrete problem by resolve(): their natural scales depend on
     the VM count m and task count n.
+
+    The default v_max of 10m never binds. Every attractor offset is wrapped
+    to at most m / 2, so for inertia w < 1 a velocity that starts at zero
+    stays within (c1 + c2) * m / (2 * (1 - w)), which is 5m at the default
+    coefficients. The clamp only acts when v_max is set below that bound.
     """
 
     swarm_size: int = 20
@@ -101,6 +110,8 @@ class OptimizerConfig:
             raise ValueError("mutation_sigma_scale must be positive")
         if self.beta is not None and self.beta < 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not self.headroom_theta >= 1:
+            raise ValueError(f"headroom_theta must be >= 1, got {self.headroom_theta}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -118,8 +129,10 @@ class OptimizerConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Particle:
+    """One particle's row of the swarm matrices, copied out."""
+
     position: np.ndarray
     velocity: np.ndarray
     personal_best_position: np.ndarray
@@ -130,12 +143,17 @@ class Particle:
 class SwarmState:
     """Mutable population state; one optimizer run owns exactly one.
 
+    Row i of positions, velocities and personal_best_positions, each (S, n),
+    and entry i of personal_best_fitness, (S,), belong to particle i.
     alpha, beta_wolf and delta are the three lowest-fitness positions
     evaluated so far, maintained by the classic cascade; alpha always
     coincides with the global best.
     """
 
-    particles: list[Particle]
+    positions: np.ndarray
+    velocities: np.ndarray
+    personal_best_positions: np.ndarray
+    personal_best_fitness: np.ndarray
     global_best_position: np.ndarray
     global_best_fitness: float
     global_best_assignment: np.ndarray
@@ -146,6 +164,19 @@ class SwarmState:
     beta_fitness: float = math.inf
     delta_fitness: float = math.inf
     iteration: int = 0
+
+    @property
+    def particles(self) -> list[Particle]:
+        """Per-particle records copied from the matrices; editing them changes nothing."""
+        return [
+            Particle(position.copy(), velocity.copy(), best.copy(), fit)
+            for position, velocity, best, fit in zip(
+                self.positions,
+                self.velocities,
+                self.personal_best_positions,
+                self.personal_best_fitness.tolist(),
+            )
+        ]
 
 
 @dataclass(frozen=True)
@@ -211,9 +242,22 @@ def gwo_coefficient_a(t: int, config: OptimizerConfig) -> float:
     return 2.0 * (1.0 - t / config.max_iterations)
 
 
+# Uniform draws per coordinate that one particle makes in one step. Its row
+# of draws is laid out in stream order: the guidance coefficients A (3n,
+# leader by leader), then C (3n), then the velocity pulls r1 (n) and r2 (n).
+DRAWS_PER_COORD = 8
+
+# Coordinates per array pass of a step. A block's largest temporaries are
+# (k, 3, n) float64, 24 bytes per coordinate: 96 KiB here, under glibc
+# malloc's default 128 KiB mmap threshold, so they are reused heap memory.
+# Blocks of 2**14 coordinates had every such temporary mapped and faulted in
+# afresh, about 34k minor page faults per run at 800x4 and 50k at 5000x8.
+_BLOCK_COORDS = 2**12
+
+
 def _wrap_offset(offset: np.ndarray, period: float) -> np.ndarray:
     """Reduce offsets modulo the period to their shortest form, |d| <= period / 2."""
-    # cheaper than np.mod on floats, and the hot path runs it per particle-step
+    # cheaper than np.mod on floats
     return offset - period * np.rint(offset / period)
 
 
@@ -227,51 +271,58 @@ def _fold_position(position: np.ndarray, period: float) -> np.ndarray:
 
 
 def velocity_update(
-    particle: Particle,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    personal_best_positions: np.ndarray,
     global_best: np.ndarray,
     config: OptimizerConfig,
-    rng: np.random.Generator,
+    draws: np.ndarray,
     period: float,
 ) -> np.ndarray:
     """Inertia plus stochastic pulls toward personal and global bests, clamped.
 
-    Each pull follows the attractor's offset wrapped modulo the decode period.
+    Rows are particles: positions, velocities and personal bests are (k, n),
+    draws is (k, 8n) and the pulls r1, r2 are its last 2n columns. Each pull
+    follows the attractor's offset wrapped modulo the decode period.
     """
-    n = particle.position.shape[0]
-    r1 = rng.random(n)
-    r2 = rng.random(n)
+    n = positions.shape[1]
+    r1 = draws[:, 6 * n : 7 * n]
+    r2 = draws[:, 7 * n :]
     velocity = (
-        config.inertia * particle.velocity
-        + config.c1 * r1 * _wrap_offset(particle.personal_best_position - particle.position, period)
-        + config.c2 * r2 * _wrap_offset(global_best - particle.position, period)
+        config.inertia * velocities
+        + config.c1 * r1 * _wrap_offset(personal_best_positions - positions, period)
+        + config.c2 * r2 * _wrap_offset(global_best - positions, period)
     )
     return np.clip(velocity, -config.v_max, config.v_max)
 
 
 def gwo_guidance(
-    position: np.ndarray,
+    positions: np.ndarray,
     alpha: np.ndarray,
     beta_wolf: np.ndarray,
     delta: np.ndarray,
     a: float,
-    rng: np.random.Generator,
+    draws: np.ndarray,
     period: float,
 ) -> np.ndarray:
     """Mean of the three leader-guided points, fresh draws per leader and component.
 
-    With D the leader's offset from the position, wrapped modulo the decode
-    period, each guided point is position + D - A * |C * D|: the encircling
-    rule L - A * |C * L - X| measured from the position rather than from the
+    Rows are particles: positions is (k, n) and draws is (k, 8n), whose first
+    3n columns give A and next 3n give C, leader by leader. With D the
+    leader's offset from the position, wrapped modulo the decode period, each
+    guided point is position + D - A * |C * D|: the encircling rule
+    L - A * |C * L - X| measured from the position rather than from the
     origin, so that it does not depend on where the coordinate sits in the box.
     """
     if a < 0:
         raise ValueError(f"a must be non-negative, got {a}")
+    k, n = positions.shape
+    a_coef = 2.0 * a * draws[:, : 3 * n].reshape(k, 3, n) - a  # in [-a, a]
+    c_coef = 2.0 * draws[:, 3 * n : 6 * n].reshape(k, 3, n)  # in [0, 2]
     leaders = np.stack([alpha, beta_wolf, delta])
-    a_coef = 2.0 * a * rng.random(leaders.shape) - a  # in [-a, a]
-    c_coef = 2.0 * rng.random(leaders.shape)  # in [0, 2]
-    offset = _wrap_offset(leaders - position, period)
-    # sum / 3 equals mean(axis=0) bit for bit without np.mean's Python overhead
-    return position + (offset - a_coef * np.abs(c_coef * offset)).sum(axis=0) / 3.0
+    offset = _wrap_offset(leaders - positions[:, np.newaxis], period)
+    # sum / 3 equals mean(axis=1) bit for bit without np.mean's Python overhead
+    return positions + (offset - a_coef * np.abs(c_coef * offset)).sum(axis=1) / 3.0
 
 
 def combined_update(
@@ -281,7 +332,10 @@ def combined_update(
     velocity: np.ndarray,
     period: float,
 ) -> np.ndarray:
-    """blend * guidance + (1 - blend) * (position + velocity), folded into [0, period]."""
+    """blend * guidance + (1 - blend) * (position + velocity), folded into [0, period].
+
+    Elementwise, so one call moves a single particle or a block of rows.
+    """
     if not 0 <= blend <= 1:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
     proposal = blend * gwo_position + (1.0 - blend) * (position + velocity)
@@ -303,21 +357,23 @@ def mutation_sigma(config: OptimizerConfig, diversity: float, m: int) -> float:
 
 
 def inject_mutation(
-    particles: Sequence[Particle],
+    positions: np.ndarray,
     sigma: float,
     rngs: Sequence[np.random.Generator],
     period: float,
 ) -> None:
-    """Perturb every coordinate of every particle by N(0, sigma^2), then fold
-    the result into [0, period].
+    """Perturb every coordinate of every row of positions by N(0, sigma^2),
+    then fold the result into [0, period], in place.
 
-    Personal bests and velocities are left untouched; only positions move.
+    Row i draws its kick from rngs[i]. Personal bests and velocities are
+    left untouched; only positions move.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    for particle, rng in zip(particles, rngs):
-        jolt = rng.normal(0.0, sigma, particle.position.shape[0])
-        particle.position = _fold_position(particle.position + jolt, period)
+    # row by row: whole-swarm kicks and their temporaries raised peak memory
+    # by about 3 MB at 5000 tasks, and mutation is too rare to gain from them
+    for row, rng in zip(positions, rngs):
+        row[:] = _fold_position(row + rng.normal(0.0, sigma, row.shape[0]), period)
 
 
 def _cascade_leaders(state: SwarmState, position: np.ndarray, fit: float) -> None:
@@ -335,6 +391,18 @@ def _cascade_leaders(state: SwarmState, position: np.ndarray, fit: float) -> Non
         state.delta, state.delta_fitness = position.copy(), fit
 
 
+def _evaluate_swarm(
+    positions: np.ndarray, etc: EtcMatrix, threshold: float, beta: float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Map each row to an assignment, then score all rows from their loads at once."""
+    loads = np.empty((positions.shape[0], etc.m))
+    assignments = []
+    for position, row in zip(positions, loads):
+        assignment, row[:] = map_with_loads(position, etc, threshold)
+        assignments.append(assignment)
+    return assignments, score_loads(loads, beta)[3]
+
+
 def initialize_swarm(
     etc: EtcMatrix,
     config: OptimizerConfig,
@@ -344,7 +412,8 @@ def initialize_swarm(
     """Uniform positions in [0, m) per coordinate, zero velocities, bests evaluated.
 
     `seeded_positions` occupy the first slots verbatim (after clamping); the
-    rest of the swarm is drawn randomly. Config must already be resolved.
+    rest of the swarm is drawn randomly, row i from rngs[i]. Config must
+    already be resolved.
     """
     n, m = etc.n, etc.m
     seeded = [clamp_position(p, m) for p in (seeded_positions or [])]
@@ -353,33 +422,26 @@ def initialize_swarm(
             f"{len(seeded)} seeded positions exceed swarm_size {config.swarm_size}"
         )
     threshold = capacity_threshold(etc, CapacityPolicy(config.headroom_theta))
-    particles: list[Particle] = []
-    best_fit = math.inf
-    best_index = -1
-    best_assignment: np.ndarray | None = None
-    evaluations: list[tuple[np.ndarray, float]] = []
-    for i in range(config.swarm_size):
-        position = seeded[i].copy() if i < len(seeded) else rngs[i].uniform(0.0, m, n)
-        assignment, loads = map_with_loads(position, etc, threshold)
-        report = evaluate_assignment(assignment, etc, config.beta, loads=loads)
-        particles.append(Particle(position, np.zeros(n), position.copy(), report.fitness))
-        evaluations.append((position, report.fitness))
-        if report.fitness < best_fit:
-            best_fit = report.fitness
-            best_index = i
-            best_assignment = assignment
+    positions = np.empty((config.swarm_size, n))
+    for i, row in enumerate(positions):
+        row[:] = seeded[i] if i < len(seeded) else rngs[i].uniform(0.0, m, n)
+    assignments, fit = _evaluate_swarm(positions, etc, threshold, config.beta)
+    best = int(np.argmin(fit))
     state = SwarmState(
-        particles=particles,
-        global_best_position=particles[best_index].position.copy(),
-        global_best_fitness=best_fit,
-        global_best_assignment=best_assignment,
-        alpha=particles[best_index].position.copy(),
-        beta_wolf=particles[best_index].position.copy(),
-        delta=particles[best_index].position.copy(),
+        positions=positions,
+        velocities=np.zeros_like(positions),
+        personal_best_positions=positions.copy(),
+        personal_best_fitness=fit,
+        global_best_position=positions[best].copy(),
+        global_best_fitness=float(fit[best]),
+        global_best_assignment=assignments[best],
+        alpha=positions[best].copy(),
+        beta_wolf=positions[best].copy(),
+        delta=positions[best].copy(),
         iteration=0,
     )
-    for position, fit in evaluations:
-        _cascade_leaders(state, position, fit)
+    for position, value in zip(positions, fit.tolist()):
+        _cascade_leaders(state, position, value)
     # packs of two start with delta mirroring beta_wolf
     if not math.isfinite(state.beta_fitness):
         state.beta_wolf, state.beta_fitness = state.alpha.copy(), state.alpha_fitness
@@ -395,55 +457,75 @@ def step(
     rngs: Sequence[np.random.Generator],
     log: ConvergenceLog,
 ) -> SwarmState:
-    """Advance one iteration: diversity check and mutation, then particle updates.
+    """Advance one iteration: diversity check and mutation, then the swarm move.
 
     Synchronous scheme: leaders and the global best are frozen while every
-    particle moves and is evaluated (so per-particle work could run in
-    parallel on its own RNG substream), then personal bests, the global best
-    and the leader cascade absorb the new evaluations in particle order.
+    particle moves and is evaluated, then personal bests, the global best and
+    the leader cascade absorb the new evaluations in particle order. The move
+    runs over blocks of rows, one array expression per update rule; each
+    particle still draws its own 8n uniforms per step from its own substream
+    rngs[i], so the results do not depend on the block size.
     """
     t = state.iteration + 1
     m = etc.m
+    positions = state.positions
+    swarm, n = positions.shape
     threshold = capacity_threshold(etc, CapacityPolicy(config.headroom_theta))
-    diversity = swarm_diversity(np.stack([p.position for p in state.particles]))
+    diversity = swarm_diversity(positions)
     mutated = False
     if config.diversity_control and diversity < config.d_min:
-        inject_mutation(state.particles, mutation_sigma(config, diversity, m), rngs, m)
+        inject_mutation(positions, mutation_sigma(config, diversity, m), rngs, m)
         mutated = True
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
     blend = (1.0 - lam) if config.blend_weight_on_pso else lam
 
-    evaluations: list[tuple[np.ndarray, float, np.ndarray]] = []
-    fitness_total = 0.0
-    for particle, rng in zip(state.particles, rngs):
+    block = max(1, _BLOCK_COORDS // n)
+    draws = np.empty((min(block, swarm), DRAWS_PER_COORD * n))
+    for start in range(0, swarm, block):
+        rows = slice(start, min(start + block, swarm))
+        block_draws = draws[: rows.stop - start]
+        for row, rng in zip(block_draws, rngs[rows]):
+            rng.random(out=row)
         guide = gwo_guidance(
-            particle.position, state.alpha, state.beta_wolf, state.delta, a, rng, m
+            positions[rows], state.alpha, state.beta_wolf, state.delta, a, block_draws, m
         )
-        velocity = velocity_update(particle, state.global_best_position, config, rng, m)
-        position = combined_update(particle.position, guide, blend, velocity, m)
-        particle.velocity = velocity
-        particle.position = position
-        assignment, loads = map_with_loads(position, etc, threshold)
-        report = evaluate_assignment(assignment, etc, config.beta, loads=loads)
-        fitness_total += report.fitness
-        evaluations.append((position, report.fitness, assignment))
+        velocity = velocity_update(
+            positions[rows],
+            state.velocities[rows],
+            state.personal_best_positions[rows],
+            state.global_best_position,
+            config,
+            block_draws,
+            m,
+        )
+        positions[rows] = combined_update(positions[rows], guide, blend, velocity, m)
+        state.velocities[rows] = velocity
 
-    for particle, (position, fit, assignment) in zip(state.particles, evaluations):
-        if fit < particle.personal_best_fitness:
-            particle.personal_best_fitness = fit
-            particle.personal_best_position = position.copy()
-            if fit < state.global_best_fitness:
-                state.global_best_fitness = fit
-                state.global_best_position = position.copy()
-                state.global_best_assignment = assignment
-        _cascade_leaders(state, position, fit)
+    assignments, fit = _evaluate_swarm(positions, etc, threshold, config.beta)
+    improved = fit < state.personal_best_fitness
+    state.personal_best_positions[improved] = positions[improved]
+    state.personal_best_fitness[improved] = fit[improved]
+    # the global best never exceeds a personal best, so absorbing particles one
+    # by one would end on the first one at the lowest fitness, if it beats it
+    best = int(np.argmin(fit))
+    if fit[best] < state.global_best_fitness:
+        state.global_best_fitness = float(fit[best])
+        state.global_best_position = positions[best].copy()
+        state.global_best_assignment = assignments[best]
+    # delta only falls, so no particle at or above it now can enter the cascade
+    for i in np.flatnonzero(fit < state.delta_fitness).tolist():
+        _cascade_leaders(state, positions[i], float(fit[i]))
+    # plain left-to-right float sum, as one particle at a time would accumulate it
+    fitness_total = 0.0
+    for value in fit.tolist():
+        fitness_total += value
     state.iteration = t
     log.rows.append(
         IterationStats(
             iteration=t,
             best_fitness=state.global_best_fitness,
-            mean_fitness=fitness_total / len(state.particles),
+            mean_fitness=fitness_total / swarm,
             diversity=diversity,
             blend_weight=lam,
             gwo_a=a,
@@ -462,9 +544,10 @@ def run(
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
     """Optimize a placement; returns (assignment, metrics, per-iteration log).
 
-    One root seed drives the whole run; every particle owns an independent
-    substream, so per-particle work could be parallelized without changing
-    any result.
+    One root seed drives the whole run, and every particle owns an
+    independent substream. The swarm moves as blocks of matrix rows, but each
+    row draws from its own particle's substream, so the result depends
+    neither on the block size nor on how the rows are grouped.
     """
     etc = build_etc(workload, vms)
     cfg = config.resolve(etc)

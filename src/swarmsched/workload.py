@@ -14,7 +14,6 @@ from .domain import Task, VmSpec, Workload
 
 __all__ = [
     "SyntheticSpec",
-    "TraceRecord",
     "TraceParseError",
     "TRACE_HEADER",
     "DEFAULT_SCALE_MI_PER_CORE_S",
@@ -48,15 +47,6 @@ class SyntheticSpec:
                 f"need 0 < min_length_mi <= max_length_mi, got "
                 f"({self.min_length_mi}, {self.max_length_mi})"
             )
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One normalized trace row before conversion to a task."""
-
-    task_id: str
-    cpu_request: float  # fraction of one core, in (0, 1]
-    duration_s: float  # positive seconds
 
 
 class TraceParseError(ValueError):
@@ -117,10 +107,7 @@ def ingest_trace(
                 continue
             if not (0 < cpu <= 1 and duration > 0):
                 continue
-            record = TraceRecord(row[0].strip(), cpu, duration)
-            tasks.append(
-                Task(len(tasks), record.cpu_request * record.duration_s * scale_mi_per_core_s)
-            )
+            tasks.append(Task(len(tasks), cpu * duration * scale_mi_per_core_s))
             if len(tasks) == limit:
                 break
     if not tasks:

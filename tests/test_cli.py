@@ -70,6 +70,46 @@ def test_nonpositive_limit_is_a_usage_error(capsys, tmp_path):
     assert "limit" in err
 
 
+def test_swarm_of_one_is_a_usage_error(capsys):
+    code, _, err = run_cli(["schedule", "--algo", "hybrid", "--tasks", "4", "--swarm", "1"], capsys)
+    assert code == 2
+    assert "swarm_size" in err
+
+
+def test_theta_below_one_is_a_usage_error(capsys):
+    code, _, err = run_cli(["schedule", "--algo", "hybrid", "--tasks", "4", "--theta", "0.5"], capsys)
+    assert code == 2
+    assert "headroom_theta" in err
+
+
+def test_zero_tasks_is_a_usage_error(capsys):
+    code, _, err = run_cli(["schedule", "--algo", "rr", "--tasks", "0"], capsys)
+    assert code == 2
+    assert "tasks" in err
+
+
+def test_zero_vms_is_a_usage_error(capsys):
+    code, _, err = run_cli(["schedule", "--algo", "rr", "--tasks", "4", "--vms", "0"], capsys)
+    assert code == 2
+    assert "vms" in err
+
+
+def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tasks": "800"}), encoding="utf-8")
+    code, _, err = run_cli(["schedule", "--algo", "rr", "--config", str(config)], capsys)
+    assert code == 2
+    assert "tasks" in err and "'800'" in err
+
+
+def test_nonpositive_scale_is_a_usage_error(capsys, tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text("task_id,cpu_request,duration_s\nj1,0.5,10\n", encoding="utf-8")
+    code, _, err = run_cli(["trace", "--input", str(trace), "--scale", "0"], capsys)
+    assert code == 2
+    assert "scale" in err
+
+
 def test_missing_trace_file_is_a_runtime_error(capsys):
     code, _, err = run_cli(["trace", "--input", "/nonexistent/t.csv"], capsys)
     assert code == 1

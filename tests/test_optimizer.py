@@ -19,10 +19,11 @@ from swarmsched.encoding import (
     position_bound,
 )
 from swarmsched.metrics import default_beta, evaluate_assignment
+from swarmsched.workload import SyntheticSpec, generate_synthetic, standard_fleet
 from swarmsched.optimizer import (
+    DRAWS_PER_COORD,
     ConvergenceLog,
     OptimizerConfig,
-    Particle,
     blend_weight,
     combined_update,
     gwo_coefficient_a,
@@ -41,21 +42,14 @@ from swarmsched.optimizer import (
 from conftest import random_instance
 
 
-class ScriptedRng:
-    """Stand-in generator returning a fixed sequence of uniform draws.
+def scripted_draws(n, a=0.0, c=0.0, r1=0.0, r2=0.0):
+    """One particle's per-step uniform draws as a (1, 8n) block.
 
-    Each scripted entry is broadcast to whatever shape the caller requests,
-    so a scalar 1.0 yields an all-ones array of any size.
+    The row holds A (3n), C (3n), r1 (n), r2 (n); each segment here is filled
+    with one scripted value.
     """
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def random(self, shape=None):
-        value = np.asarray(self.draws.pop(0), dtype=float)
-        if shape is None:
-            return float(value)
-        return np.broadcast_to(value, shape).copy()
+    row = np.concatenate([np.full(3 * n, a), np.full(3 * n, c), np.full(n, r1), np.full(n, r2)])
+    return row[np.newaxis]
 
 
 def spawn_rngs(seed, count):
@@ -138,92 +132,142 @@ PERIOD = 16
 def test_velocity_update_forced_draws():
     # w=1, c1=c2=1, r1=r2=1, V=0, X=0, P=2, G=4: v = (2-0) + (4-0) = 6
     cfg = OptimizerConfig(inertia=1.0, c1=1.0, c2=1.0, v_max=10.0)
-    particle = Particle(
-        position=np.zeros(2),
-        velocity=np.zeros(2),
-        personal_best_position=np.full(2, 2.0),
-        personal_best_fitness=1.0,
+    out = velocity_update(
+        np.zeros((1, 2)),
+        np.zeros((1, 2)),
+        np.full((1, 2), 2.0),
+        np.full(2, 4.0),
+        cfg,
+        scripted_draws(2, r1=1.0, r2=1.0),
+        PERIOD,
     )
-    out = velocity_update(particle, np.full(2, 4.0), cfg, ScriptedRng([1.0, 1.0]), PERIOD)
-    npt.assert_allclose(out, [6.0, 6.0])
+    npt.assert_allclose(out, [[6.0, 6.0]])
 
 
 def test_velocity_update_clamps_to_v_max():
     cfg = OptimizerConfig(inertia=1.0, c1=1.0, c2=1.0, v_max=5.0)
-    particle = Particle(np.zeros(2), np.zeros(2), np.full(2, 2.0), 1.0)
-    out = velocity_update(particle, np.full(2, 4.0), cfg, ScriptedRng([1.0, 1.0]), PERIOD)
-    npt.assert_allclose(out, [5.0, 5.0])
+    out = velocity_update(
+        np.zeros((1, 2)),
+        np.zeros((1, 2)),
+        np.full((1, 2), 2.0),
+        np.full(2, 4.0),
+        cfg,
+        scripted_draws(2, r1=1.0, r2=1.0),
+        PERIOD,
+    )
+    npt.assert_allclose(out, [[5.0, 5.0]])
 
 
 def test_velocity_update_keeps_inertia_only_when_pulls_vanish():
     cfg = OptimizerConfig(inertia=0.7, c1=1.5, c2=1.5, v_max=10.0)
-    position = np.array([1.0, -2.0])
-    particle = Particle(position.copy(), np.array([2.0, 2.0]), position.copy(), 1.0)
-    out = velocity_update(particle, position.copy(), cfg, ScriptedRng([1.0, 1.0]), PERIOD)
-    npt.assert_allclose(out, [1.4, 1.4])
+    positions = np.array([[1.0, -2.0]])
+    out = velocity_update(
+        positions,
+        np.array([[2.0, 2.0]]),
+        positions.copy(),
+        positions[0].copy(),
+        cfg,
+        scripted_draws(2, r1=1.0, r2=1.0),
+        PERIOD,
+    )
+    npt.assert_allclose(out, [[1.4, 1.4]])
 
 
 def test_gwo_guidance_full_step_lands_on_origin():
-    # a=1 with r1=1 gives A=1; r2=0.5 gives C=1; X=0 so each leader maps to 0
+    # a=1 with A draws of 1 gives A=1; C draws of 0.5 give C=1; X=0 so each
+    # leader maps to 0
     out = gwo_guidance(
-        np.array([0.0]),
+        np.array([[0.0]]),
         np.array([4.0]),
         np.array([2.0]),
         np.array([0.0]),
         a=1.0,
-        rng=ScriptedRng([1.0, 0.5]),
+        draws=scripted_draws(1, a=1.0, c=0.5),
         period=PERIOD,
     )
-    npt.assert_allclose(out, [0.0])
+    npt.assert_allclose(out, [[0.0]])
 
 
 def test_gwo_guidance_zero_a_is_leader_centroid():
     out = gwo_guidance(
-        np.array([7.0]),
+        np.array([[7.0]]),
         np.array([4.0]),
         np.array([2.0]),
         np.array([0.0]),
         a=0.0,
-        rng=ScriptedRng([0.123, 0.456]),
+        draws=scripted_draws(1, a=0.123, c=0.456),
         period=PERIOD,
     )
-    npt.assert_allclose(out, [2.0])
+    npt.assert_allclose(out, [[2.0]])
 
 
 def test_gwo_guidance_fixed_point_at_converged_leaders():
     x = np.array([3.0, -1.0])
     out = gwo_guidance(
-        x, x.copy(), x.copy(), x.copy(), a=1.7, rng=ScriptedRng([0.3, 0.5]), period=PERIOD
+        x[np.newaxis],
+        x.copy(),
+        x.copy(),
+        x.copy(),
+        a=1.7,
+        draws=scripted_draws(2, a=0.3, c=0.5),
+        period=PERIOD,
     )
-    npt.assert_allclose(out, x)
+    npt.assert_allclose(out, [x])
 
 
 def test_gwo_guidance_draw_order_is_a_then_c():
-    # draws [1.0, 0.0]: A=a=1 first, C=0 second, so each guided point
-    # x + D - A * |C * D| is its own leader and the mean is (4 + 2 + 0) / 3.
-    # The reversed order (A=-1, C=2) would give x + D + 2|D| over D = 3, 1, -1: 16/3.
+    # A particle's row of draws starts with the 3n A draws, then the 3n C
+    # draws. A row of [1.0] * 3n + [0.0] * 3n gives A=a=1 and C=0, so each
+    # guided point x + D - A * |C * D| is its own leader and the mean is
+    # (4 + 2 + 0) / 3. The reversed layout (A=-1, C=2) would give
+    # x + D + 2|D| over D = 3, 1, -1: 16/3.
     out = gwo_guidance(
-        np.array([1.0]),
+        np.array([[1.0]]),
         np.array([4.0]),
         np.array([2.0]),
         np.array([0.0]),
         a=1.0,
-        rng=ScriptedRng([1.0, 0.0]),
+        draws=scripted_draws(1, a=1.0, c=0.0),
         period=PERIOD,
     )
-    npt.assert_allclose(out, [2.0])
+    npt.assert_allclose(out, [[2.0]])
+    # and a step's rows are drawn in stream order: A, C, r1, r2
+    n = 5
+    row = np.empty(DRAWS_PER_COORD * n)
+    np.random.default_rng(4).random(out=row)
+    rng = np.random.default_rng(4)
+    parts = [rng.random((3, n)).ravel(), rng.random((3, n)).ravel(), rng.random(n), rng.random(n)]
+    npt.assert_array_equal(row, np.concatenate(parts))
 
 
 def test_gwo_guidance_consumes_exactly_two_draws():
-    rng = ScriptedRng([0.5, 0.5])
-    gwo_guidance(np.zeros(3), np.ones(3), np.ones(3), np.ones(3), a=1.0, rng=rng, period=PERIOD)
-    assert rng.draws == []
+    # Guidance reads exactly its two 3n-draw segments, A and C: the first 6n
+    # columns of a particle's 8n. The velocity update reads only the last 2n.
+    n = 3
+    cfg = OptimizerConfig(v_max=10.0)
+    positions = np.zeros((1, n))
+    leaders = (np.ones(n), np.full(n, 2.0), np.full(n, 3.0))
+    base = scripted_draws(n, a=0.3, c=0.3, r1=0.3, r2=0.3)
+
+    def guide(draws):
+        return gwo_guidance(positions, *leaders, a=1.0, draws=draws, period=PERIOD)
+
+    def velocity(draws):
+        return velocity_update(
+            positions, np.zeros((1, n)), np.ones((1, n)), np.full(n, 2.0), cfg, draws, PERIOD
+        )
+
+    for column in range(DRAWS_PER_COORD * n):
+        moved = base.copy()
+        moved[0, column] = 0.9
+        assert (not np.array_equal(guide(moved), guide(base))) == (column < 6 * n), column
+        assert (not np.array_equal(velocity(moved), velocity(base))) == (column >= 6 * n), column
 
 
 def test_gwo_guidance_rejects_negative_a():
     with pytest.raises(ValueError, match="non-negative"):
         gwo_guidance(
-            np.zeros(1), np.ones(1), np.ones(1), np.ones(1), -0.1, ScriptedRng([]), PERIOD
+            np.zeros((1, 1)), np.ones(1), np.ones(1), np.ones(1), -0.1, scripted_draws(1), PERIOD
         )
 
 
@@ -262,15 +306,18 @@ def test_one_update_keeps_uniform_decodes_uniform():
     m, n = 4, 4000
     rng = np.random.default_rng(2026)
     position, pbest, gbest, alpha, beta_wolf, delta = rng.uniform(0.0, m, (6, n))
+    position, pbest = position[np.newaxis], pbest[np.newaxis]
     proposals = {}
     for a in (0.0, 1.0, 2.0):
-        guide = gwo_guidance(position, alpha, beta_wolf, delta, a, rng, m)
+        draws = rng.random((1, DRAWS_PER_COORD * n))
+        guide = gwo_guidance(position, alpha, beta_wolf, delta, a, draws, m)
         proposals[f"guidance at a={a}"] = combined_update(position, guide, 1.0, np.zeros(n), m)
-    particle = Particle(position, np.zeros(n), pbest, 1.0)
-    velocity = velocity_update(particle, gbest, OptimizerConfig(v_max=position_bound(m)), rng, m)
+    config = OptimizerConfig(v_max=position_bound(m))
+    draws = rng.random((1, DRAWS_PER_COORD * n))
+    velocity = velocity_update(position, np.zeros((1, n)), pbest, gbest, config, draws, m)
     proposals["velocity"] = combined_update(position, np.zeros(n), 0.0, velocity, m)
     for label, proposal in proposals.items():
-        shares = np.bincount(decode_position(proposal, m), minlength=m) / n
+        shares = np.bincount(decode_position(proposal[0], m), minlength=m) / n
         npt.assert_allclose(shares, 0.25, atol=0.03, err_msg=label)
 
 
@@ -297,33 +344,36 @@ def test_mutation_sigma_grows_as_diversity_collapses():
 
 
 def test_inject_mutation_moves_positions_only():
-    particles = [
-        Particle(np.zeros(3), np.full(3, 0.5), np.ones(3), 2.0),
-        Particle(np.ones(3), np.full(3, -0.5), np.zeros(3), 3.0),
-    ]
-    before_positions = [p.position.copy() for p in particles]
-    inject_mutation(particles, sigma=0.3, rngs=spawn_rngs(1, 2), period=PERIOD)
-    for p, old in zip(particles, before_positions):
-        assert not np.array_equal(p.position, old)
+    workload, fleet, etc = small_problem()
+    cfg = OptimizerConfig(swarm_size=4, seed=5).resolve(etc)
+    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
+    state = initialize_swarm(etc, cfg, rngs)
+    state.velocities[:] = 0.5
+    before = state.particles
+    inject_mutation(state.positions, sigma=0.3, rngs=rngs, period=PERIOD)
+    for p, old in zip(state.particles, before):
+        assert not np.array_equal(p.position, old.position)
         assert np.all((p.position >= 0.0) & (p.position <= PERIOD))
-    npt.assert_allclose(particles[0].velocity, 0.5)
-    npt.assert_allclose(particles[0].personal_best_position, 1.0)
-    assert particles[0].personal_best_fitness == 2.0
+        npt.assert_array_equal(p.velocity, old.velocity)
+        npt.assert_array_equal(p.personal_best_position, old.personal_best_position)
+        assert p.personal_best_fitness == old.personal_best_fitness
 
 
 def test_inject_mutation_is_deterministic_per_seed():
     def mutate_once():
-        particles = [Particle(np.zeros(4), np.zeros(4), np.zeros(4), 1.0)]
-        inject_mutation(particles, 0.5, spawn_rngs(9, 1), period=PERIOD)
-        return particles[0].position
+        positions = np.zeros((2, 4))
+        inject_mutation(positions, 0.5, spawn_rngs(9, 2), period=PERIOD)
+        return positions
 
-    npt.assert_array_equal(mutate_once(), mutate_once())
+    first = mutate_once()
+    npt.assert_array_equal(first, mutate_once())
+    # each row draws from its own substream
+    assert not np.array_equal(first[0], first[1])
 
 
 def test_inject_mutation_rejects_nonpositive_sigma():
-    particles = [Particle(np.zeros(1), np.zeros(1), np.zeros(1), 1.0)]
     with pytest.raises(ValueError, match="sigma"):
-        inject_mutation(particles, 0.0, spawn_rngs(0, 1), period=PERIOD)
+        inject_mutation(np.zeros((1, 1)), 0.0, spawn_rngs(0, 1), period=PERIOD)
 
 
 # ------------------------------------------------------- swarm lifecycle
@@ -389,6 +439,36 @@ def test_initialize_swarm_rejects_too_many_seeds():
     seeds = [np.zeros(etc.n)] * 3
     with pytest.raises(ValueError, match="exceed swarm_size"):
         initialize_swarm(etc, cfg, spawn_rngs(0, 2), seeds)
+
+
+def test_swarm_state_particles_are_copies_of_the_matrices():
+    workload, fleet, etc = small_problem()
+    cfg = OptimizerConfig(swarm_size=3, seed=4).resolve(etc)
+    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size))
+    first = state.particles[0]
+    npt.assert_array_equal(first.position, state.positions[0])
+    assert first.personal_best_fitness == state.personal_best_fitness[0]
+    first.position[:] = -1.0
+    assert np.all(state.positions[0] >= 0.0)
+    with pytest.raises(AttributeError):
+        first.personal_best_fitness = 0.0
+
+
+def test_default_v_max_never_binds_at_800x4():
+    # wrapped offsets keep |v| <= (c1 + c2) * m / (2 * (1 - w)) = 5m at the
+    # defaults, half of the default v_max of 10m
+    workload = generate_synthetic(SyntheticSpec(800, seed=2026))
+    etc = build_etc(workload, standard_fleet(4))
+    cfg = OptimizerConfig(seed=2026).resolve(etc)
+    bound = (cfg.c1 + cfg.c2) * etc.m / (2.0 * (1.0 - cfg.inertia))
+    assert bound == pytest.approx(5 * etc.m)
+    assert bound < cfg.v_max == 10 * etc.m
+    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
+    state = initialize_swarm(etc, cfg, rngs)
+    log = ConvergenceLog()
+    for _ in range(cfg.max_iterations):
+        step(state, etc, cfg, rngs, log)
+        assert np.abs(state.velocities).max() <= bound
 
 
 def test_step_counts_iterations_from_one():
