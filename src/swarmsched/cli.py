@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .harness import (
@@ -15,10 +19,10 @@ from .harness import (
     ExperimentPlan,
     SyntheticSource,
     TraceSource,
+    replicate_workloads,
     run_experiment,
     run_scheduler,
     scheduler_seed,
-    workload_seed,
     write_aggregates_json,
     write_convergence_csvs,
     write_raw_csv,
@@ -29,7 +33,6 @@ from .workload import (
     DEFAULT_SCALE_MI_PER_CORE_S,
     SyntheticSpec,
     export_trace_csv,
-    generate_synthetic,
     ingest_trace,
     standard_fleet,
 )
@@ -38,7 +41,23 @@ __all__ = ["main", "build_parser", "OUTPUT_DIR_ENV"]
 
 OUTPUT_DIR_ENV = "SWARMSCHED_OUT"
 
-# Every knob a config file may set, with its fully-resolved default.
+# The optimizer knobs are OptimizerConfig's fields, each with the type its
+# value has when set (an optional knob's None means "resolve per problem").
+# Its own seed is not a knob: each run's seed derives from the root seed.
+_KNOB_KINDS: dict[str, type] = {
+    name: next(kind for kind in get_args(hint) or (hint,) if kind is not type(None))
+    for name, hint in get_type_hints(OptimizerConfig).items()
+    if name != "seed"
+}
+
+# The knobs whose flag is not the dashed field name, and the knobs' help.
+_KNOB_FLAGS = {"swarm_size": "--swarm", "max_iterations": "--iterations", "headroom_theta": "--theta"}
+_KNOB_HELP = {
+    "headroom_theta": "capacity headroom multiplier (default 1.2)",
+    "blend_weight_on_pso": "apply the blend weight to the velocity term instead of the guidance term",
+}
+
+# Every key a config file may set, with its fully-resolved default.
 # Precedence: these defaults < config file < command-line flags.
 DEFAULTS: dict = {
     "tasks": 800,
@@ -54,30 +73,14 @@ DEFAULTS: dict = {
     "seed": 0,
     "jobs": 1,
     "out": None,
-    "swarm_size": 20,
-    "max_iterations": 50,
-    "lambda_max": 0.9,
-    "lambda_min": 0.4,
-    "inertia": 0.7,
-    "c1": 1.5,
-    "c2": 1.5,
-    "v_max": None,
-    "d_min": None,
-    "mutation_sigma_scale": None,
-    "beta": None,
-    "headroom_theta": 1.2,
-    "diversity_control": True,
-    "blend_weight_on_pso": False,
+    **{field.name: field.default for field in dataclasses.fields(OptimizerConfig)
+       if field.name in _KNOB_KINDS},
     "convergence_csv": None,
     "input": None,
     "export": None,
 }
 
 _CONFIG_KEYS = frozenset(DEFAULTS)
-
-# Keys whose default is None but whose value, when set, is a number; every
-# other None-default key holds a path or a name.
-_OPTIONAL_FLOATS = frozenset({"v_max", "d_min", "mutation_sigma_scale", "beta"})
 
 
 class UsageError(Exception):
@@ -147,24 +150,16 @@ def _add_workload_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--swarm", dest="swarm_size", type=int, default=None)
-    sub.add_argument("--iterations", dest="max_iterations", type=int, default=None)
-    sub.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
-    sub.add_argument("--lambda-min", dest="lambda_min", type=float, default=None)
-    sub.add_argument("--inertia", type=float, default=None)
-    sub.add_argument("--c1", type=float, default=None)
-    sub.add_argument("--c2", type=float, default=None)
-    sub.add_argument("--v-max", dest="v_max", type=float, default=None)
-    sub.add_argument("--d-min", dest="d_min", type=float, default=None)
-    sub.add_argument("--mutation-sigma-scale", dest="mutation_sigma_scale", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--theta", dest="headroom_theta", type=float, default=None,
-                     help="capacity headroom multiplier (default 1.2)")
-    sub.add_argument("--no-diversity-control", dest="diversity_control",
-                     action="store_false", default=None)
-    sub.add_argument("--blend-weight-on-pso", dest="blend_weight_on_pso",
-                     action="store_true", default=None,
-                     help="apply the blend weight to the velocity term instead of the guidance term")
+    for name, kind in _KNOB_KINDS.items():
+        flag = _KNOB_FLAGS.get(name, "--" + name.replace("_", "-"))
+        help_text = _KNOB_HELP.get(name)
+        if kind is not bool:
+            sub.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
+        elif DEFAULTS[name]:
+            sub.add_argument("--no-" + flag[2:], dest=name, action="store_false",
+                             default=None, help=help_text)
+        else:
+            sub.add_argument(flag, dest=name, action="store_true", default=None, help=help_text)
 
 
 def _load_config_file(path: str) -> dict:
@@ -192,10 +187,7 @@ def _config_value_ok(key: str, value: object) -> bool:
         return default is None
     if key == "algos" and isinstance(value, list):
         return all(isinstance(name, str) for name in value)
-    if default is None:
-        kind = float if key in _OPTIONAL_FLOATS else str
-    else:
-        kind = type(default)
+    kind = _KNOB_KINDS.get(key) or (str if default is None else type(default))
     if isinstance(value, bool):  # bool is a subclass of int
         return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
@@ -227,23 +219,13 @@ def resolve_settings(args: argparse.Namespace) -> dict:
 
 
 def _settings_config(settings: dict, seed: int) -> OptimizerConfig:
-    return OptimizerConfig(
-        swarm_size=settings["swarm_size"],
-        max_iterations=settings["max_iterations"],
-        lambda_max=settings["lambda_max"],
-        lambda_min=settings["lambda_min"],
-        inertia=settings["inertia"],
-        c1=settings["c1"],
-        c2=settings["c2"],
-        v_max=settings["v_max"],
-        d_min=settings["d_min"],
-        mutation_sigma_scale=settings["mutation_sigma_scale"],
-        beta=settings["beta"],
-        headroom_theta=settings["headroom_theta"],
-        diversity_control=bool(settings["diversity_control"]),
-        blend_weight_on_pso=bool(settings["blend_weight_on_pso"]),
-        seed=seed,
-    )
+    return OptimizerConfig(**{name: settings[name] for name in _KNOB_KINDS}, seed=seed)
+
+
+def _workload_source(settings: dict) -> SyntheticSource | TraceSource:
+    if settings["trace"]:
+        return TraceSource(settings["trace"], settings["limit"], settings["scale_mi_per_core_s"])
+    return SyntheticSource(settings["tasks"], settings["min_length_mi"], settings["max_length_mi"])
 
 
 def _build_manifest(command: str, settings: dict) -> dict:
@@ -254,6 +236,13 @@ def _build_manifest(command: str, settings: dict) -> dict:
         "command": command,
         "root_seed": settings["seed"],
         "config": config,
+        # what a replay on another machine may differ in; ignored by --config
+        "environment": {
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "cpu_count": os.cpu_count(),
+        },
     }
 
 
@@ -261,19 +250,7 @@ def cmd_schedule(settings: dict) -> int:
     algo = settings["algo"]
     fleet = standard_fleet(settings["vms"])
     root_seed = settings["seed"]
-    if settings["trace"]:
-        workload = ingest_trace(
-            settings["trace"], settings["limit"], settings["scale_mi_per_core_s"]
-        )
-    else:
-        workload = generate_synthetic(
-            SyntheticSpec(
-                settings["tasks"],
-                settings["min_length_mi"],
-                settings["max_length_mi"],
-                workload_seed(root_seed, 0),
-            )
-        )
+    workload = replicate_workloads(_workload_source(settings), root_seed, 1)[0]
     config = _settings_config(settings, seed=scheduler_seed(root_seed, algo, 0))
     _, report, log = run_scheduler(algo, workload, fleet, config)
     payload = {
@@ -303,16 +280,13 @@ def cmd_bench(settings: dict) -> int:
         raise UsageError(
             f"unknown scheduler(s) {', '.join(unknown)}; valid: {', '.join(ALGORITHMS)}"
         )
-    if settings["trace"]:
-        source = TraceSource(
-            settings["trace"], settings["limit"], settings["scale_mi_per_core_s"]
-        )
-    else:
-        source = SyntheticSource(
-            settings["tasks"], settings["min_length_mi"], settings["max_length_mi"]
-        )
+    if not algos:
+        raise UsageError("--algos names no scheduler")
+    duplicates = sorted({name for name in algos if algos.count(name) > 1})
+    if duplicates:
+        raise UsageError(f"duplicate scheduler(s) in --algos: {', '.join(duplicates)}")
     plan = ExperimentPlan(
-        workload_source=source,
+        workload_source=_workload_source(settings),
         fleet=standard_fleet(settings["vms"]),
         schedulers=tuple(algos),
         replicates=settings["replicates"],

@@ -36,6 +36,7 @@ __all__ = [
     "run_scheduler",
     "scheduler_seed",
     "workload_seed",
+    "replicate_workloads",
     "run_experiment",
     "overall_score",
     "paired_t_test",
@@ -233,21 +234,23 @@ def _execute_cell(
     return record, log
 
 
-def _replicate_workloads(plan: ExperimentPlan) -> list[Workload]:
-    source = plan.workload_source
+def replicate_workloads(
+    source: SyntheticSource | TraceSource, root_seed: int, replicates: int
+) -> list[Workload]:
+    """The workload of each replicate: fresh synthetic lengths, or one shared trace."""
     if isinstance(source, TraceSource):
         fixed = ingest_trace(source.path, source.limit, source.scale_mi_per_core_s)
-        return [fixed] * plan.replicates
+        return [fixed] * replicates
     return [
         generate_synthetic(
             SyntheticSpec(
                 source.n,
                 source.min_length_mi,
                 source.max_length_mi,
-                workload_seed(plan.root_seed, r),
+                workload_seed(root_seed, r),
             )
         )
-        for r in range(plan.replicates)
+        for r in range(replicates)
     ]
 
 
@@ -261,7 +264,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workloads = _replicate_workloads(plan)
+    workloads = replicate_workloads(plan.workload_source, plan.root_seed, plan.replicates)
     cells = [
         (
             name,
@@ -308,11 +311,7 @@ def _aggregate(plan: ExperimentPlan, records: Sequence[RunRecord]) -> dict[str, 
     scores: dict[str, float | None] = {name: None for name in plan.schedulers}
     if len(plan.schedulers) >= 2:
         means = {
-            name: {
-                "makespan_s": float(per_metric["makespan_s"][name].mean()),
-                "throughput_tps": float(per_metric["throughput_tps"][name].mean()),
-                "cv": float(per_metric["cv"][name].mean()),
-            }
+            name: {metric: float(per_metric[metric][name].mean()) for metric in TTEST_METRICS}
             for name in plan.schedulers
         }
         scores = dict(overall_score(means))
@@ -355,35 +354,23 @@ def _compare_all_pairs(
 
 # Metrics where larger values are better; all others count inverted.
 _HIGHER_IS_BETTER = frozenset({"throughput_tps"})
-_SCORE_METRICS = ("makespan_s", "throughput_tps", "cv", "wall_ms")
-_DEFAULT_WEIGHTS = {"makespan_s": 1.0 / 3.0, "throughput_tps": 1.0 / 3.0, "cv": 1.0 / 3.0}
 
 
-def overall_score(
-    metrics_by_scheduler: Mapping[str, Mapping[str, float]],
-    weights: Mapping[str, float] | None = None,
-) -> dict[str, float]:
-    """Composite [0, 1] score from min-max normalized metrics across schedulers.
+def overall_score(metrics_by_scheduler: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
+    """Composite [0, 1] score: the mean of the min-max normalized TTEST_METRICS.
 
-    Defaults weight makespan, throughput and CV at 1/3 each; wall time joins
-    only if given a weight explicitly. A degenerate metric (all schedulers
-    equal) contributes its full weight to every scheduler. Oriented so that
-    dominating every metric scores 1.0 and being dominated scores 0.0; affine
-    rescaling of any single metric across all schedulers changes nothing.
+    Each metric is normalized across schedulers and oriented so that the best
+    value counts 1.0 and the worst 0.0; a degenerate metric (all schedulers
+    equal) counts 1.0 for every scheduler. Dominating every metric scores
+    1.0 and being dominated scores 0.0; affine rescaling of any single metric
+    across all schedulers changes nothing.
     """
     names = list(metrics_by_scheduler)
     if len(names) < 2:
         raise ValueError("normalization undefined: need at least two schedulers")
-    weights = dict(_DEFAULT_WEIGHTS if weights is None else weights)
-    for metric in weights:
-        if metric not in _SCORE_METRICS:
-            raise ValueError(f"unknown metric '{metric}'; valid: {', '.join(_SCORE_METRICS)}")
-    total_weight = sum(weights.values())
-    if not total_weight > 0:
-        raise ValueError("weights must sum to a positive value")
-
+    weight = 1.0 / len(TTEST_METRICS)
     scores = {name: 0.0 for name in names}
-    for metric, weight in weights.items():
+    for metric in TTEST_METRICS:
         values = {name: float(metrics_by_scheduler[name][metric]) for name in names}
         lo, hi = min(values.values()), max(values.values())
         for name in names:
@@ -393,7 +380,7 @@ def overall_score(
                 norm = (values[name] - lo) / (hi - lo)
                 oriented = norm if metric in _HIGHER_IS_BETTER else 1.0 - norm
             scores[name] += weight * oriented
-    return {name: score / total_weight for name, score in scores.items()}
+    return scores
 
 
 def paired_t_test(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> TTestResult:

@@ -118,19 +118,11 @@ def score_loads(
 
 
 def evaluate_assignment(
-    assignment: Sequence[int] | np.ndarray,
-    etc: EtcMatrix,
-    beta: float,
-    loads: np.ndarray | None = None,
+    assignment: Sequence[int] | np.ndarray, etc: EtcMatrix, beta: float
 ) -> MetricsReport:
-    """Score one assignment end to end.
-
-    `loads` can be supplied by callers that already accumulated per-VM busy
-    time (the capacity-aware mapper does); it must equal load_vector's output.
-    """
-    if loads is None:
-        loads = load_vector(assignment, etc)
-    makespan_s, cv, boi, fit = (float(v) for v in score_loads(np.asarray(loads, float), beta))
+    """Score one assignment end to end."""
+    loads = load_vector(assignment, etc)
+    makespan_s, cv, boi, fit = (float(v) for v in score_loads(loads, beta))
     return MetricsReport(
         makespan_s=makespan_s,
         throughput_tps=throughput(etc.n, makespan_s),

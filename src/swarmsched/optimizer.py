@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import IO, ClassVar, Sequence
 
 import numpy as np
@@ -91,6 +91,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{knob.name} must be finite, got {value}")
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.max_iterations < 1:

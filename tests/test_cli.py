@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
+from swarmsched import cli
 from swarmsched.cli import DEFAULTS, OUTPUT_DIR_ENV, main
 from swarmsched.harness import ALGORITHMS, RAW_CSV_HEADER
+from swarmsched.optimizer import OptimizerConfig
 
 
 def run_cli(args, capsys):
@@ -100,6 +107,27 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path):
     code, _, err = run_cli(["schedule", "--algo", "rr", "--config", str(config)], capsys)
     assert code == 2
     assert "tasks" in err and "'800'" in err
+
+
+@pytest.mark.parametrize("algos", ["", ",", " , ", "hybrid,hybrid", "rr,minmin,rr"])
+def test_empty_or_repeating_algos_is_a_usage_error(algos, capsys, tmp_path):
+    out_dir = tmp_path / "o"
+    code, _, err = run_cli(
+        ["bench", "--algos", algos, "--tasks", "4", "--vms", "2", "--replicates", "1",
+         "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 2
+    assert "algos" in err
+    assert not out_dir.exists()
+
+
+def test_empty_algos_list_in_config_is_a_usage_error(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"algos": [], "tasks": 4, "vms": 2}), encoding="utf-8")
+    code, _, err = run_cli(["bench", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2
+    assert "algos" in err
 
 
 def test_nonpositive_scale_is_a_usage_error(capsys, tmp_path):
@@ -267,6 +295,12 @@ def test_bench_manifest_captures_the_full_configuration(capsys, tmp_path):
     assert manifest["config"]["algos"] == "hybrid,rr"
     assert manifest["config"]["replicates"] == 2
     assert manifest["config"]["diversity_control"] is False
+    assert manifest["environment"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+    }
 
 
 def test_bench_manifest_replays_identically(capsys, tmp_path):
@@ -307,6 +341,79 @@ def test_bench_explicit_out_beats_env_var(capsys, tmp_path, monkeypatch):
     run_cli(bench_args(chosen), capsys)
     assert (chosen / "raw.csv").is_file()
     assert not (tmp_path / "ignored").exists()
+
+
+# -------------------------------------------------------- optimizer knobs
+
+# Each OptimizerConfig field but the seed: its flag, and a non-default value.
+KNOBS = {
+    "swarm_size": (["--swarm", "7"], 7),
+    "max_iterations": (["--iterations", "9"], 9),
+    "lambda_max": (["--lambda-max", "0.8"], 0.8),
+    "lambda_min": (["--lambda-min", "0.3"], 0.3),
+    "inertia": (["--inertia", "0.55"], 0.55),
+    "c1": (["--c1", "1.25"], 1.25),
+    "c2": (["--c2", "1.75"], 1.75),
+    "v_max": (["--v-max", "3.5"], 3.5),
+    "d_min": (["--d-min", "0.25"], 0.25),
+    "mutation_sigma_scale": (["--mutation-sigma-scale", "0.4"], 0.4),
+    "beta": (["--beta", "2.5"], 2.5),
+    "headroom_theta": (["--theta", "1.35"], 1.35),
+    "diversity_control": (["--no-diversity-control"], False),
+    "blend_weight_on_pso": (["--blend-weight-on-pso"], True),
+}
+FIELDS = [f.name for f in dataclasses.fields(OptimizerConfig) if f.name != "seed"]
+FLOAT_FIELDS = [name for name in FIELDS if isinstance(KNOBS[name][1], float)]
+
+
+class ConfigBuilt(Exception):
+    """Stops a command once its OptimizerConfig has been built."""
+
+
+def built_config(monkeypatch, command, args):
+    seen = []
+
+    def capture_schedule(name, workload, fleet, config):
+        seen.append(config)
+        raise ConfigBuilt
+
+    def capture_bench(plan, jobs=1):
+        seen.append(plan.config)
+        raise ConfigBuilt
+
+    monkeypatch.setattr(cli, "run_scheduler", capture_schedule)
+    monkeypatch.setattr(cli, "run_experiment", capture_bench)
+    head = ["schedule", "--algo", "hybrid"] if command == "schedule" else ["bench", "--algos", "hybrid,rr"]
+    assert main([*head, "--tasks", "6", "--vms", "2", *args]) == 1  # stopped by the capture
+    assert len(seen) == 1
+    return seen[0]
+
+
+@pytest.mark.parametrize("command", ["schedule", "bench"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("name", FIELDS)
+def test_every_optimizer_knob_reaches_the_built_config(name, via, command, monkeypatch, tmp_path):
+    flag_args, value = KNOBS[name]
+    if via == "flag":
+        args = flag_args
+    else:
+        config_file = tmp_path / "cfg.json"
+        config_file.write_text(json.dumps({name: value}), encoding="utf-8")
+        args = ["--config", str(config_file)]
+    config = built_config(monkeypatch, command, args)
+    assert dataclasses.replace(config, seed=0) == OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_optimizer_knob_is_a_usage_error(name, value, capsys):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        OptimizerConfig(**{name: float(value)})
+    flag = KNOBS[name][0][0]
+    code, out, err = run_cli(["schedule", "--algo", "hybrid", "--tasks", "4", flag, value], capsys)
+    assert code == 2
+    assert f"{name} must be finite" in err
+    assert out == ""
 
 
 # ------------------------------------------------------------------ trace

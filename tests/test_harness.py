@@ -268,12 +268,16 @@ def test_overall_score_hand_table():
 
 
 def test_overall_score_orients_throughput_upward():
+    # tied makespan and CV give everyone 2/3; throughput adds its third upward
     metrics = {
-        "a": {"throughput_tps": 100.0},
-        "b": {"throughput_tps": 50.0},
+        "a": {"makespan_s": 10.0, "throughput_tps": 100.0, "cv": 0.2},
+        "b": {"makespan_s": 10.0, "throughput_tps": 75.0, "cv": 0.2},
+        "c": {"makespan_s": 10.0, "throughput_tps": 50.0, "cv": 0.2},
     }
-    scores = overall_score(metrics, weights={"throughput_tps": 1.0})
-    assert scores == {"a": 1.0, "b": 0.0}
+    scores = overall_score(metrics)
+    assert scores["a"] == pytest.approx(1.0)
+    assert scores["b"] == pytest.approx(5.0 / 6.0)
+    assert scores["c"] == pytest.approx(2.0 / 3.0)
 
 
 def test_overall_score_affine_invariance():
@@ -306,29 +310,9 @@ def test_overall_score_degenerate_metric_counts_fully_for_everyone():
 
 
 def test_overall_score_validation():
-    one = {"only": {"makespan_s": 1.0}}
+    one = {"only": {"makespan_s": 1.0, "throughput_tps": 1.0, "cv": 0.1}}
     with pytest.raises(ValueError, match="at least two"):
         overall_score(one)
-    two = {
-        "a": {"makespan_s": 1.0},
-        "b": {"makespan_s": 2.0},
-    }
-    with pytest.raises(ValueError, match="unknown metric"):
-        overall_score(two, weights={"latency": 1.0})
-    with pytest.raises(ValueError, match="positive"):
-        overall_score(two, weights={"makespan_s": 0.0})
-
-
-def test_overall_score_wall_time_joins_only_when_weighted():
-    metrics = {
-        "a": {"makespan_s": 10.0, "wall_ms": 100.0},
-        "b": {"makespan_s": 20.0, "wall_ms": 10.0},
-    }
-    makespan_only = overall_score(metrics, weights={"makespan_s": 1.0})
-    assert makespan_only["a"] == 1.0
-    with_wall = overall_score(metrics, weights={"makespan_s": 0.5, "wall_ms": 0.5})
-    assert with_wall["a"] == pytest.approx(0.5)
-    assert with_wall["b"] == pytest.approx(0.5)
 
 
 # ------------------------------------------------------------ paired t-test

@@ -112,13 +112,6 @@ def test_evaluate_assignment_end_to_end(tiny_etc):
     assert report.fitness == pytest.approx(0.28375)
 
 
-def test_evaluate_assignment_accepts_precomputed_loads(tiny_etc):
-    loads = load_vector([0, 1], tiny_etc)
-    via_loads = evaluate_assignment([0, 1], tiny_etc, beta=0.5, loads=loads)
-    direct = evaluate_assignment([0, 1], tiny_etc, beta=0.5)
-    assert via_loads == direct
-
-
 def test_makespan_equals_max_load_under_chained_execution():
     rng = np.random.default_rng(7)
     workload = make_workload(rng.uniform(100, 1000, 12))

@@ -397,8 +397,8 @@ def test_initialize_swarm_population_invariants():
         assert np.all(p.position >= 0.0) and np.all(p.position < etc.m)
         npt.assert_array_equal(p.velocity, np.zeros(etc.n))
         npt.assert_array_equal(p.personal_best_position, p.position)
-        assignment, loads = map_with_loads(p.position, etc, threshold)
-        report = evaluate_assignment(assignment, etc, cfg.beta, loads=loads)
+        assignment, _ = map_with_loads(p.position, etc, threshold)
+        report = evaluate_assignment(assignment, etc, cfg.beta)
         assert p.personal_best_fitness == pytest.approx(report.fitness)
         fits.append(report.fitness)
 
