@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -205,8 +206,10 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key in ("limit", "replicates", "jobs", "tasks", "vms"):
         if settings[key] is not None and settings[key] < 1:
             raise UsageError(f"--{key} must be >= 1, got {settings[key]}")
-    if not settings["scale_mi_per_core_s"] > 0:
-        raise UsageError(f"--scale must be positive, got {settings['scale_mi_per_core_s']}")
+    if not 0 < settings["scale_mi_per_core_s"] < math.inf:
+        raise UsageError(
+            f"--scale must be finite and positive, got {settings['scale_mi_per_core_s']}"
+        )
     # the config and spec constructors validate the remaining values, and
     # their messages name the offending field, which is also the key
     try:

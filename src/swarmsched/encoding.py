@@ -1,4 +1,11 @@
-"""Continuous-to-discrete decoding and capacity-aware task mapping."""
+"""Continuous-to-discrete decoding and capacity-aware task mapping.
+
+The mapper takes one position or a (k, n) block of them. It decodes the
+whole block at once and totals every row's per-VM loads in one weighted
+bincount. A row whose totals all stay within the capacity threshold never
+reroutes a task, so its raw decode is the answer; only the rows that breach
+run the sequential placement loop.
+"""
 
 from __future__ import annotations
 
@@ -42,14 +49,15 @@ class CapacityPolicy:
 
 
 def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
-    """Map continuous coordinates to VM indices: floor(|x_i|) mod m."""
+    """Map continuous coordinates to VM indices: floor(|x_i|) mod m, elementwise."""
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
     coords = np.asarray(position, dtype=float)
     if not np.all(np.isfinite(coords)):
         raise ValueError("non-finite coordinate in position")
-    # mod in float space: floor(|x|) may exceed the int64 range for wild inputs
-    return np.mod(np.floor(np.abs(coords)), m).astype(np.int64)
+    # mod in float space: floor(|x|) may exceed the int64 range for wild inputs;
+    # on a non-negative operand fmod equals mod bit for bit and is cheaper
+    return np.fmod(np.floor(np.abs(coords)), m).astype(np.int64)
 
 
 def capacity_threshold(etc: EtcMatrix, policy: CapacityPolicy) -> float:
@@ -87,10 +95,35 @@ def map_with_loads(
     etc: EtcMatrix,
     threshold: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Capacity-aware mapping that also returns the accumulated per-VM loads."""
+    """Capacity-aware mapping that also returns the accumulated per-VM loads.
+
+    A single (n,) position gives an (n,) assignment and (m,) loads; a (k, n)
+    block of positions gives (k, n) assignments and (k, m) loads, row by row
+    what the single form gives.
+    """
     m = etc.m
-    raw = decode_position(position, m).tolist()
-    rows = etc.rows()
+    raw = decode_position(position, m)
+    block = np.atleast_2d(raw)  # a view: settling its rows settles raw
+    k, n = block.shape
+    costs = etc.entries[np.arange(n), block]
+    # bincount adds each weight into its bin in index order, so every total
+    # is bit for bit the left-to-right sum the placement loop accumulates
+    keys = block + m * np.arange(k)[:, np.newaxis]
+    loads = np.bincount(keys.ravel(), weights=costs.ravel(), minlength=k * m).reshape(k, m)
+    # partial sums of positive costs never decrease, so a row whose totals
+    # all fit never breached on the way and keeps its raw decode
+    breaching = np.flatnonzero(loads.max(axis=1) > threshold)
+    if breaching.size:
+        rows = etc.rows()
+        for r in breaching.tolist():
+            block[r], loads[r] = _place_in_order(block[r].tolist(), rows, m, threshold)
+    return raw, loads.reshape(raw.shape[:-1] + (m,))
+
+
+def _place_in_order(
+    raw: list[int], rows: list[list[float]], m: int, threshold: float
+) -> tuple[list[int], list[float]]:
+    """Place tasks in ascending id, rerouting each that would breach its VM."""
     loads = [0.0] * m
     out = [0] * len(raw)
     for i, j in enumerate(raw):
@@ -100,4 +133,4 @@ def map_with_loads(
             cost = rows[i][j]
         loads[j] += cost
         out[i] = j
-    return np.array(out, dtype=np.int64), np.array(loads)
+    return out, loads

@@ -14,8 +14,9 @@ encircling distance measured from the origin, would instead pull coordinates
 toward the middle of the box and decodes toward the middle VMs.
 
 The swarm lives in (S, n) matrices, one row per particle. A step moves it in
-blocks of rows with one array expression per update rule, then decodes each
-row and scores the whole swarm from its (S, m) loads matrix in one pass.
+blocks of rows with one array expression per update rule, maps the same
+blocks of rows with one mapper call each, and scores the whole swarm from
+its (S, m) loads matrix in one pass.
 """
 
 from __future__ import annotations
@@ -397,13 +398,15 @@ def _cascade_leaders(state: SwarmState, position: np.ndarray, fit: float) -> Non
 
 def _evaluate_swarm(
     positions: np.ndarray, etc: EtcMatrix, threshold: float, beta: float
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Map each row to an assignment, then score all rows from their loads at once."""
-    loads = np.empty((positions.shape[0], etc.m))
-    assignments = []
-    for position, row in zip(positions, loads):
-        assignment, row[:] = map_with_loads(position, etc, threshold)
-        assignments.append(assignment)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map the rows block by block, then score all rows from their loads at once."""
+    swarm, n = positions.shape
+    assignments = np.empty((swarm, n), dtype=np.int64)
+    loads = np.empty((swarm, etc.m))
+    block = max(1, _BLOCK_COORDS // n)
+    for start in range(0, swarm, block):
+        rows = slice(start, start + block)
+        assignments[rows], loads[rows] = map_with_loads(positions[rows], etc, threshold)
     return assignments, score_loads(loads, beta)[3]
 
 
@@ -438,7 +441,7 @@ def initialize_swarm(
         personal_best_fitness=fit,
         global_best_position=positions[best].copy(),
         global_best_fitness=float(fit[best]),
-        global_best_assignment=assignments[best],
+        global_best_assignment=assignments[best].copy(),
         alpha=positions[best].copy(),
         beta_wolf=positions[best].copy(),
         delta=positions[best].copy(),
@@ -516,7 +519,7 @@ def step(
     if fit[best] < state.global_best_fitness:
         state.global_best_fitness = float(fit[best])
         state.global_best_position = positions[best].copy()
-        state.global_best_assignment = assignments[best]
+        state.global_best_assignment = assignments[best].copy()
     # delta only falls, so no particle at or above it now can enter the cascade
     for i in np.flatnonzero(fit < state.delta_fitness).tolist():
         _cascade_leaders(state, positions[i], float(fit[i]))

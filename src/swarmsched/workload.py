@@ -42,6 +42,10 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        for name in ("min_length_mi", "max_length_mi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0 < self.min_length_mi <= self.max_length_mi:
             raise ValueError(
                 f"need 0 < min_length_mi <= max_length_mi, got "
@@ -83,8 +87,10 @@ def ingest_trace(
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    if not scale_mi_per_core_s > 0:
-        raise ValueError(f"scale_mi_per_core_s must be positive, got {scale_mi_per_core_s}")
+    if not 0 < scale_mi_per_core_s < math.inf:
+        raise ValueError(
+            f"scale_mi_per_core_s must be finite and positive, got {scale_mi_per_core_s}"
+        )
     tasks: list[Task] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

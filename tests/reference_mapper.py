@@ -1,0 +1,32 @@
+"""Reference capacity mapper: one position, one task at a time.
+
+This is the plain sequential form of swarmsched.encoding.map_with_loads,
+kept as the oracle its block form must match bit for bit. It decodes with
+np.mod and walks the tasks in ascending id: each keeps its decoded VM
+unless that VM's load plus the task's ETC would exceed the threshold, and
+then goes to the least-loaded VM, ties to the lowest index. Nothing here
+calls into the code under test apart from EtcMatrix's cached rows.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def decode(position, m):
+    return np.mod(np.floor(np.abs(np.asarray(position, dtype=float))), m).astype(np.int64)
+
+
+def map_with_loads(position, etc, threshold):
+    m = etc.m
+    rows = etc.rows()
+    loads = [0.0] * m
+    out = []
+    for i, j in enumerate(decode(position, m).tolist()):
+        cost = rows[i][j]
+        if loads[j] + cost > threshold:
+            j = loads.index(min(loads))
+            cost = rows[i][j]
+        loads[j] += cost
+        out.append(j)
+    return np.array(out, dtype=np.int64), np.array(loads)

@@ -6,8 +6,8 @@ with its own arrays and its own generator. A step draws A (3n), C (3n), r1 (n)
 and r2 (n) in that order from the particle's generator, updates the particle,
 maps it and scores it from its loads with the scalar formulas. Nothing here
 calls into the code under test except the pieces both forms share by design:
-the schedules, diversity, mutation strength, the capacity mapper and
-load_vector.
+the schedules, diversity, mutation strength and load_vector. Positions are
+mapped by the sequential reference mapper, not by the block mapper.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from swarmsched.domain import build_etc
-from swarmsched.encoding import (
-    CapacityPolicy,
-    capacity_threshold,
-    clamp_position,
-    map_with_loads,
-)
+from swarmsched.encoding import CapacityPolicy, capacity_threshold, clamp_position
 from swarmsched.metrics import MetricsReport, load_vector
 from swarmsched.optimizer import (
     ConvergenceLog,
@@ -33,6 +28,8 @@ from swarmsched.optimizer import (
     mutation_sigma,
     swarm_diversity,
 )
+
+from reference_mapper import map_with_loads
 
 
 @dataclass

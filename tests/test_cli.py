@@ -138,6 +138,39 @@ def test_nonpositive_scale_is_a_usage_error(capsys, tmp_path):
     assert "scale" in err
 
 
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        (["schedule", "--algo", "rr", "--max-length", "inf"], "max_length_mi"),
+        (["schedule", "--algo", "rr", "--min-length", "inf", "--max-length", "inf"],
+         "min_length_mi"),
+        (["bench", "--algos", "rr", "--replicates", "1", "--max-length", "inf"], "max_length_mi"),
+    ],
+)
+def test_infinite_length_is_a_usage_error(command, field, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a bench that ran would write here
+    code, _, err = run_cli([*command, "--tasks", "4"], capsys)
+    assert code == 2
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["schedule", "--algo", "rr", "--trace"],
+        ["bench", "--algos", "rr", "--replicates", "1", "--trace"],
+        ["trace", "--input"],
+    ],
+)
+def test_infinite_scale_is_a_usage_error(command, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a bench that ran would write here
+    trace = tmp_path / "t.csv"
+    trace.write_text("task_id,cpu_request,duration_s\nj1,0.5,10\n", encoding="utf-8")
+    code, _, err = run_cli([*command, str(trace), "--scale", "inf"], capsys)
+    assert code == 2
+    assert "--scale" in err
+
+
 def test_missing_trace_file_is_a_runtime_error(capsys):
     code, _, err = run_cli(["trace", "--input", "/nonexistent/t.csv"], capsys)
     assert code == 1

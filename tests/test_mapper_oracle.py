@@ -1,0 +1,132 @@
+"""The block capacity mapper against the sequential reference, bit for bit."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_mapper as ref
+from swarmsched.domain import EtcMatrix
+from swarmsched.encoding import (
+    CapacityPolicy,
+    capacity_threshold,
+    decode_position,
+    map_with_loads,
+)
+
+
+def reference_block(positions, etc, threshold):
+    """The reference mapper applied row by row, stacked to the block's shape."""
+    rows = np.atleast_2d(positions)
+    mapped = [ref.map_with_loads(row, etc, threshold) for row in rows]
+    assignments = np.stack([assignment for assignment, _ in mapped])
+    loads = np.stack([row_loads for _, row_loads in mapped])
+    if positions.ndim == 1:
+        return assignments[0], loads[0]
+    return assignments, loads
+
+
+def assert_maps_equal(positions, etc, threshold):
+    before = positions.copy()
+    assignments, loads = map_with_loads(positions, etc, threshold)
+    want_assignments, want_loads = reference_block(positions, etc, threshold)
+    npt.assert_array_equal(positions, before)  # the input is left alone
+    assert assignments.dtype == np.int64
+    assert assignments.shape == positions.shape
+    assert loads.shape == positions.shape[:-1] + (etc.m,)
+    npt.assert_array_equal(assignments, want_assignments)
+    npt.assert_array_equal(loads.view(np.int64), want_loads.view(np.int64))
+
+
+def far_coordinates(m):
+    """Coordinates well outside [0, m): box clamps, huge magnitudes and -0.0."""
+    return st.one_of(
+        st.sampled_from([10.0 * m, -10.0 * m, -0.0, 0.0, float(m), -float(m), 1e300, -1e300]),
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    )
+
+
+@st.composite
+def mapper_cases(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 6))
+    k = draw(st.one_of(st.none(), st.integers(1, 25)))  # None: one (n,) position
+    tied = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = rng.uniform(100.0, 1000.0, n)
+    # identical columns make equal loads, so min(loads) meets ties
+    mips = np.full(m, 1000.0) if tied else rng.uniform(500.0, 3000.0, m)
+    etc = EtcMatrix(lengths[:, np.newaxis] / mips[np.newaxis, :])
+
+    positions = rng.uniform(0.0, m, n if k is None else (k, n))
+    flat = positions.reshape(-1)
+    cells = st.integers(0, flat.size - 1)
+    for index, value in draw(st.lists(st.tuples(cells, far_coordinates(m)), max_size=12)):
+        flat[index] = value
+
+    # each row's peak raw load: a threshold at or above a row's peak keeps it clean
+    peaks = [float(ref.map_with_loads(row, etc, math.inf)[1].max())
+             for row in np.atleast_2d(positions)]
+    threshold = draw(
+        st.one_of(
+            st.just(0.0),  # every row breaches at task 0
+            st.just(0.5 * float(etc.entries.min())),
+            st.just(max(peaks)),  # every row clean, the highest exactly at its peak
+            st.sampled_from(peaks),  # rows at or below this peak clean, the rest breach
+            # one ulp under a peak: that row breaches only on its last charge there
+            st.sampled_from(peaks).map(lambda peak: float(np.nextafter(peak, 0.0))),
+            st.floats(0.5 * min(peaks), 1.5 * max(peaks)),
+            st.floats(1.0, 1.5).map(lambda theta: capacity_threshold(etc, CapacityPolicy(theta))),
+        )
+    )
+    return positions, etc, threshold
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=mapper_cases())
+def test_block_mapper_matches_the_sequential_reference(case):
+    assert_maps_equal(*case)
+
+
+def test_block_mapper_matches_the_reference_at_benchmark_sizes():
+    rng = np.random.default_rng(7)
+    for n, m, k in ((800, 4, 5), (5000, 8, 1), (8, 3, 20)):
+        lengths = rng.pareto(1.5, n) * 100.0 + 100.0
+        etc = EtcMatrix(lengths[:, np.newaxis] / rng.uniform(500.0, 3000.0, m))
+        positions = rng.uniform(0.0, m, (k, n))
+        for theta in (1.0, 1.2, 2.0):
+            threshold = capacity_threshold(etc, CapacityPolicy(theta))
+            assert_maps_equal(positions, etc, threshold)
+            assert_maps_equal(positions[0], etc, threshold)
+
+
+def test_block_mixes_clean_and_breaching_rows():
+    etc = EtcMatrix(np.array([[4.0, 4.0], [4.0, 4.0], [4.0, 4.0]]))
+    # row 0 spreads 2/1, row 1 piles all three tasks onto VM 0
+    positions = np.array([[0.5, 1.5, 0.5], [0.5, 0.5, 0.5]])
+    assignments, loads = map_with_loads(positions, etc, threshold=8.0)
+    npt.assert_array_equal(assignments, [[0, 1, 0], [0, 0, 1]])
+    npt.assert_array_equal(loads, [[8.0, 4.0], [8.0, 4.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    coords=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, 2.0**53, 2.0**63, 2.0**64]),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    m=st.integers(1, 64),
+)
+def test_fmod_decode_equals_the_mod_decode(coords, m):
+    # floor(|x|) is non-negative, where fmod and mod agree bit for bit
+    operand = np.floor(np.abs(np.array(coords)))
+    npt.assert_array_equal(np.fmod(operand, m).view(np.int64), np.mod(operand, m).view(np.int64))
+    npt.assert_array_equal(decode_position(coords, m), ref.decode(coords, m))

@@ -36,6 +36,20 @@ def test_synthetic_spec_validation():
         SyntheticSpec(5, min_length_mi=200.0, max_length_mi=100.0)
 
 
+@pytest.mark.parametrize(
+    "lengths, field",
+    [
+        ((100.0, np.inf), "max_length_mi"),
+        ((np.inf, np.inf), "min_length_mi"),
+        ((np.nan, 1000.0), "min_length_mi"),
+        ((100.0, np.nan), "max_length_mi"),
+    ],
+)
+def test_synthetic_spec_rejects_non_finite_lengths(lengths, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SyntheticSpec(5, *lengths)
+
+
 def test_generate_synthetic_reproducible_and_in_range():
     spec = SyntheticSpec(200, 100.0, 1000.0, seed=42)
     a = generate_synthetic(spec)
@@ -135,6 +149,13 @@ def test_ingest_trace_validates_arguments(tmp_path):
         ingest_trace(path, limit=0)
     with pytest.raises(ValueError, match="scale"):
         ingest_trace(path, limit=1, scale_mi_per_core_s=0.0)
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan])
+def test_ingest_trace_rejects_non_finite_scale(tmp_path, scale):
+    path = write_trace(tmp_path, f"{HEADER}\nj1,0.5,10\n")
+    with pytest.raises(ValueError, match="scale_mi_per_core_s must be finite"):
+        ingest_trace(path, limit=1, scale_mi_per_core_s=scale)
 
 
 def test_export_then_ingest_round_trips_lengths(tmp_path):
