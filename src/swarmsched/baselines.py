@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -32,22 +33,62 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     Repeatedly commit the (task, VM) pair with the earliest completion time,
     where completion time is the VM's ready time plus the task's ETC. Ties go
     to the lowest task id, then the lowest VM id.
+
+    The ETC is rank-1 (length / mips), and IEEE division and addition round
+    monotonically, so on every VM the shortest remaining task completes
+    first. The tasks are sorted once by (length, id), and a round takes the
+    earliest completion over the VMs for the shortest remaining task. The
+    pairs that tie with it form, on each VM, a prefix of the remaining tasks
+    in sorted order, and the round picks the lowest task id among them. Tasks
+    of equal length are interchangeable and so leave in id order: the round
+    steps over each run of them through one pointer. This is O(n log n + n·m)
+    and commits exactly the plan of the greedy over the whole ETC table.
     """
     etc = build_etc(workload, vms)
-    remaining = np.arange(etc.n)
-    ready = np.zeros(etc.m)
-    out = np.empty(etc.n, dtype=np.int64)
-    while remaining.size:
-        completion = ready + etc.entries[remaining]  # (k, m)
-        # argmin returns the first minimum in row-major order, which is
-        # exactly lowest task id first, then lowest VM id
-        flat = int(np.argmin(completion))
-        row, vm = divmod(flat, etc.m)
-        task = int(remaining[row])
+    rows = etc.rows()
+    lengths = workload.lengths_mi()
+    order = np.argsort(lengths, kind="stable")
+    sorted_lengths = lengths[order]
+    starts = np.flatnonzero(np.r_[True, sorted_lengths[1:] != sorted_lengths[:-1]])
+    order = order.tolist()
+    # run r's tasks still to commit are order[next_pos[r]:run_end[r]]; the
+    # runs still holding tasks form a list from head linked through after
+    next_pos = starts.tolist()
+    run_end = next_pos[1:] + [etc.n]
+    no_run = len(next_pos)
+    after = list(range(1, no_run + 1))
+    head = 0
+    ready = [0.0] * etc.m
+    out = [0] * etc.n
+    while head != no_run:
+        task = order[next_pos[head]]
+        completion = list(map(add, ready, rows[task]))
+        best = min(completion)
+        vm = completion.index(best)
+        if completion.count(best) == 1:
+            tied = [vm]
+        else:
+            tied = [j for j, c in enumerate(completion) if c == best]
+        run, before = head, -1
+        previous, later = head, after[head]
+        while later != no_run:
+            candidate = order[next_pos[later]]
+            row = rows[candidate]
+            tied = [j for j in tied if ready[j] + row[j] == best]
+            if not tied:
+                break
+            if candidate < task:
+                task, vm, run, before = candidate, tied[0], later, previous
+            previous, later = later, after[later]
         out[task] = vm
-        ready[vm] = completion[row, vm]
-        remaining = np.delete(remaining, row)
-    return out
+        ready[vm] = best
+        next_pos[run] += 1
+        if next_pos[run] == run_end[run]:
+            if before < 0:
+                head = after[run]
+            else:
+                after[before] = after[run]
+    return np.array(out, dtype=np.int64)
 
 
 def minmin_seeded_hybrid(

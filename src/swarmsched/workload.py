@@ -126,10 +126,13 @@ def export_trace_csv(
     path: str | Path,
     scale_mi_per_core_s: float = DEFAULT_SCALE_MI_PER_CORE_S,
 ) -> None:
-    """Write a workload in the trace schema so it round-trips through ingest_trace.
+    """Write a workload in the trace schema that ingest_trace reads back.
 
     Tasks are emitted as one full core (cpu_request = 1.0) running for
-    length_mi / scale seconds.
+    length_mi / scale seconds. Read back at the same scale, the tasks keep
+    their ids and order, and each length comes back within one ulp: the
+    division here and the product in ingest_trace each round, so
+    (length_mi / scale) * scale need not equal length_mi exactly.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -159,11 +159,14 @@ def test_ingest_trace_rejects_non_finite_scale(tmp_path, scale):
 
 
 def test_export_then_ingest_round_trips_lengths(tmp_path):
-    workload = make_workload([123.0, 456.5, 789.25])
+    # (length / scale) * scale rounds twice, so a length may come back one
+    # ulp off (6 of these 500 do), but never further
+    lengths = np.random.default_rng(4).lognormal(8.0, 1.0, 500)
     path = tmp_path / "out.csv"
-    export_trace_csv(workload, path, scale_mi_per_core_s=500.0)
-    back = ingest_trace(path, limit=10, scale_mi_per_core_s=500.0)
-    npt.assert_allclose(back.lengths_mi(), workload.lengths_mi())
+    export_trace_csv(make_workload(lengths), path, scale_mi_per_core_s=500.0)
+    back = ingest_trace(path, limit=len(lengths), scale_mi_per_core_s=500.0)
+    assert [task.id for task in back.tasks] == list(range(len(lengths)))
+    npt.assert_allclose(back.lengths_mi(), lengths, rtol=2.0**-52, atol=0.0)
 
 
 def test_standard_fleet_uniform_mips():
