@@ -125,12 +125,13 @@ def _place_in_order(
 ) -> tuple[list[int], list[float]]:
     """Place tasks in ascending id, rerouting each that would breach its VM."""
     loads = [0.0] * m
-    out = [0] * len(raw)
+    out = list(raw)
     for i, j in enumerate(raw):
-        cost = rows[i][j]
-        if loads[j] + cost > threshold:
+        row = rows[i]
+        load = loads[j] + row[j]
+        if load > threshold:
             j = loads.index(min(loads))
-            cost = rows[i][j]
-        loads[j] += cost
-        out[i] = j
+            load = loads[j] + row[j]
+            out[i] = j
+        loads[j] = load
     return out, loads

@@ -17,6 +17,18 @@ The swarm lives in (S, n) matrices, one row per particle. A step moves it in
 blocks of rows with one array expression per update rule, maps the same
 blocks of rows with one mapper call each, and scores the whole swarm from
 its (S, m) loads matrix in one pass.
+
+A converged swarm keeps proposing plans it has already scored. So when the
+decode space is small, m ** n <= 2 ** 16 plans (8 tasks on 3 VMs have 3 ** 8
+= 6561), a run keeps a fitness table with one float64 per plan, NaN until
+the plan is evaluated: 512 KiB at most. Each evaluation decodes the swarm
+once, and only the rows whose plan has no entry are mapped and scored; the
+others read their fitness from the table. This is exact, because within a
+run a plan's assignment, loads and fitness depend only on the plan, the ETC
+matrix, the capacity threshold and beta. No assignments are stored: the
+global best's fitness is at most every fitness evaluated in the run, so a
+row can beat it only with a plan that is new in this step, and such a row
+was just mapped. Above the bound, every row is mapped and scored.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from .encoding import (
     CapacityPolicy,
     capacity_threshold,
     clamp_position,
+    decode_position,
     map_with_loads,
     position_bound,
 )
@@ -152,7 +165,10 @@ class SwarmState:
     and entry i of personal_best_fitness, (S,), belong to particle i.
     alpha, beta_wolf and delta are the three lowest-fitness positions
     evaluated so far, maintained by the classic cascade; alpha always
-    coincides with the global best.
+    coincides with the global best. fitness_table, when the decode space is
+    small enough to have one, holds the fitness of every plan evaluated in
+    this run, NaN elsewhere; it is only valid for the ETC matrix, capacity
+    threshold and beta it was filled with.
     """
 
     positions: np.ndarray
@@ -169,6 +185,7 @@ class SwarmState:
     beta_fitness: float = math.inf
     delta_fitness: float = math.inf
     iteration: int = 0
+    fitness_table: np.ndarray | None = None
 
     @property
     def particles(self) -> list[Particle]:
@@ -258,6 +275,10 @@ DRAWS_PER_COORD = 8
 # Blocks of 2**14 coordinates had every such temporary mapped and faulted in
 # afresh, about 34k minor page faults per run at 800x4 and 50k at 5000x8.
 _BLOCK_COORDS = 2**12
+
+# Largest decode space, in plans (m ** n), that a run keeps a fitness table
+# for: 512 KiB of float64.
+_TABLE_PLANS = 2**16
 
 
 def _wrap_offset(offset: np.ndarray, period: float) -> np.ndarray:
@@ -396,7 +417,14 @@ def _cascade_leaders(state: SwarmState, position: np.ndarray, fit: float) -> Non
         state.delta, state.delta_fitness = position.copy(), fit
 
 
-def _evaluate_swarm(
+def _fitness_table(n: int, m: int) -> np.ndarray | None:
+    """One NaN entry per plan if the decode space has at most _TABLE_PLANS plans."""
+    # m ** 17 exceeds the bound for every m >= 2, and 1 ** n is 1
+    plans = m ** min(n, 17)
+    return np.full(plans, np.nan) if plans <= _TABLE_PLANS else None
+
+
+def _map_and_score(
     positions: np.ndarray, etc: EtcMatrix, threshold: float, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map the rows block by block, then score all rows from their loads at once."""
@@ -408,6 +436,34 @@ def _evaluate_swarm(
         rows = slice(start, start + block)
         assignments[rows], loads[rows] = map_with_loads(positions[rows], etc, threshold)
     return assignments, score_loads(loads, beta)[3]
+
+
+def _evaluate_swarm(
+    positions: np.ndarray,
+    etc: EtcMatrix,
+    threshold: float,
+    beta: float,
+    table: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assignments and fitness of every row, through the fitness table if any.
+
+    Without a table every row is mapped and scored. With one, a row's key is
+    its decoded plan d read as the base-m number sum_i d_i * m**i. Only the
+    rows whose plan has no entry yet are mapped and scored, and their fitness
+    fills the table; the other rows read their fitness from it and get an
+    assignment of -1s.
+    """
+    if table is None:
+        return _map_and_score(positions, etc, threshold, beta)
+    swarm, n = positions.shape
+    keys = decode_position(positions, etc.m) @ etc.m ** np.arange(n)
+    fit = table[keys]
+    fresh = np.flatnonzero(np.isnan(fit))
+    assignments = np.full((swarm, n), -1)
+    if fresh.size:
+        assignments[fresh], fit[fresh] = _map_and_score(positions[fresh], etc, threshold, beta)
+        table[keys[fresh]] = fit[fresh]
+    return assignments, fit
 
 
 def initialize_swarm(
@@ -432,7 +488,8 @@ def initialize_swarm(
     positions = np.empty((config.swarm_size, n))
     for i, row in enumerate(positions):
         row[:] = seeded[i] if i < len(seeded) else rngs[i].uniform(0.0, m, n)
-    assignments, fit = _evaluate_swarm(positions, etc, threshold, config.beta)
+    table = _fitness_table(n, m)
+    assignments, fit = _evaluate_swarm(positions, etc, threshold, config.beta, table)
     best = int(np.argmin(fit))
     state = SwarmState(
         positions=positions,
@@ -446,6 +503,7 @@ def initialize_swarm(
         beta_wolf=positions[best].copy(),
         delta=positions[best].copy(),
         iteration=0,
+        fitness_table=table,
     )
     for position, value in zip(positions, fit.tolist()):
         _cascade_leaders(state, position, value)
@@ -509,12 +567,16 @@ def step(
         positions[rows] = combined_update(positions[rows], guide, blend, velocity, m)
         state.velocities[rows] = velocity
 
-    assignments, fit = _evaluate_swarm(positions, etc, threshold, config.beta)
+    assignments, fit = _evaluate_swarm(
+        positions, etc, threshold, config.beta, state.fitness_table
+    )
     improved = fit < state.personal_best_fitness
     state.personal_best_positions[improved] = positions[improved]
     state.personal_best_fitness[improved] = fit[improved]
     # the global best never exceeds a personal best, so absorbing particles one
-    # by one would end on the first one at the lowest fitness, if it beats it
+    # by one would end on the first one at the lowest fitness, if it beats it.
+    # It never exceeds any fitness evaluated in this run either, so a row that
+    # beats it has a plan the table had no entry for, and was just mapped.
     best = int(np.argmin(fit))
     if fit[best] < state.global_best_fitness:
         state.global_best_fitness = float(fit[best])

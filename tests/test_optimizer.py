@@ -10,6 +10,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from swarmsched import optimizer
 from swarmsched.domain import build_etc
 from swarmsched.encoding import (
     CapacityPolicy,
@@ -635,6 +636,67 @@ def test_hybrid_differs_from_both_ablations():
     hybrid_means = [row.mean_fitness for row in hybrid_log.rows]
     assert hybrid_means != [row.mean_fitness for row in pso_log.rows]
     assert hybrid_means != [row.mean_fitness for row in gwo_log.rows]
+
+
+def count_mapped_rows(monkeypatch):
+    """Count the positions the optimizer sends through map_with_loads."""
+    mapped = [0]
+
+    def counting(positions, etc, threshold):
+        mapped[0] += np.atleast_2d(positions).shape[0]
+        return map_with_loads(positions, etc, threshold)
+
+    monkeypatch.setattr(optimizer, "map_with_loads", counting)
+    return mapped
+
+
+def test_run_maps_each_plan_once_when_the_decode_space_is_small(monkeypatch):
+    # 3 ** 8 = 6561 plans: a row whose plan was scored earlier in the run is
+    # read from the fitness table, not mapped again
+    mapped = count_mapped_rows(monkeypatch)
+    workload = generate_synthetic(SyntheticSpec(8, seed=3))
+    cfg = OptimizerConfig(seed=3)
+    run(workload, standard_fleet(3), cfg)
+    assert 0 < mapped[0] < cfg.swarm_size * (cfg.max_iterations + 1)
+
+
+def test_run_maps_every_row_above_the_table_bound(monkeypatch):
+    # 2 ** 17 plans exceed the bound: every row of every evaluation is mapped
+    mapped = count_mapped_rows(monkeypatch)
+    workload = generate_synthetic(SyntheticSpec(17, seed=3))
+    cfg = OptimizerConfig(swarm_size=6, max_iterations=10, seed=3)
+    run(workload, standard_fleet(2), cfg)
+    assert mapped[0] == cfg.swarm_size * (cfg.max_iterations + 1)
+
+
+@pytest.mark.parametrize(
+    "n, m, plans", [(16, 2, 2**16), (8, 4, 4**8), (8, 3, 3**8), (5000, 1, 1), (17, 2, None),
+                    (800, 4, None), (5000, 8, None)]
+)
+def test_fitness_table_covers_the_decode_space_up_to_the_bound(n, m, plans):
+    workload, fleet, etc = small_problem(n=n, m=m)
+    cfg = OptimizerConfig(swarm_size=2, seed=1).resolve(etc)
+    table = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, 2)).fitness_table
+    if plans is None:
+        assert table is None
+    else:
+        assert table.shape == (plans,)
+        assert 1 <= np.count_nonzero(~np.isnan(table)) <= 2
+
+
+def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
+    workload, fleet, etc = small_problem(seed=6, n=8, m=3)
+    cfg = OptimizerConfig(swarm_size=7, max_iterations=5, seed=2).resolve(etc)
+    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
+    state = initialize_swarm(etc, cfg, rngs)
+    log = ConvergenceLog()
+    threshold = capacity_threshold(etc, CapacityPolicy(cfg.headroom_theta))
+    for _ in range(cfg.max_iterations):
+        step(state, etc, cfg, rngs, log)
+        for position in state.positions:
+            key = int(np.dot(decode_position(position, etc.m), 3 ** np.arange(etc.n)))
+            assignment, _ = map_with_loads(position, etc, threshold)
+            assert state.fitness_table[key] == evaluate_assignment(assignment, etc, cfg.beta).fitness
 
 
 def test_convergence_log_csv_round_trip():

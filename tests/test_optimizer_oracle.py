@@ -71,6 +71,14 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
          forced_mutation=False, blend_on_pso=False, seed=3)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="gwo",
          forced_mutation=False, blend_on_pso=True, seed=4)
+# both sides of the fitness-table bound, m ** n <= 2 ** 16: the largest
+# tabulated spaces (2 ** 16 and 4 ** 8 plans) and the smallest space above it
+@example(n=16, m=2, swarm=20, steps=4, seeds=2, variant="hybrid",
+         forced_mutation=True, blend_on_pso=False, seed=5)
+@example(n=8, m=4, swarm=20, steps=4, seeds=0, variant="pso",
+         forced_mutation=False, blend_on_pso=False, seed=6)
+@example(n=17, m=2, swarm=20, steps=4, seeds=1, variant="hybrid",
+         forced_mutation=False, blend_on_pso=False, seed=7)
 def test_matrix_swarm_matches_per_particle_reference(
     n, m, swarm, steps, seeds, variant, forced_mutation, blend_on_pso, seed
 ):
