@@ -8,7 +8,7 @@ harness with paired statistics, and a CLI.
 
 from .baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
 from .domain import EtcMatrix, Task, Timeline, VmSpec, Workload, build_etc, build_timeline
-from .encoding import CapacityPolicy, decode_position, position_bound, vm_aware_map
+from .encoding import capacity_threshold, decode_position, map_with_loads
 from .harness import (
     ALGORITHMS,
     AggregateResult,
@@ -84,10 +84,9 @@ __all__ = [
     "default_beta",
     "evaluate_assignment",
     # encoding
-    "CapacityPolicy",
-    "position_bound",
     "decode_position",
-    "vm_aware_map",
+    "capacity_threshold",
+    "map_with_loads",
     # optimizer
     "OptimizerConfig",
     "Particle",

@@ -9,7 +9,6 @@ run the sequential placement loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,35 +16,10 @@ import numpy as np
 from .domain import EtcMatrix
 
 __all__ = [
-    "CapacityPolicy",
-    "position_bound",
-    "clamp_position",
     "decode_position",
     "capacity_threshold",
-    "vm_aware_map",
     "map_with_loads",
 ]
-
-
-def position_bound(m: int) -> float:
-    """Half-width of the position box: ten decode periods of length m."""
-    return 10.0 * m
-
-
-def clamp_position(coords: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
-    bound = position_bound(m)
-    return np.clip(np.asarray(coords, dtype=float), -bound, bound)
-
-
-@dataclass(frozen=True)
-class CapacityPolicy:
-    """Headroom multiplier over each VM's proportional share of the total load."""
-
-    headroom_theta: float = 1.2
-
-    def __post_init__(self) -> None:
-        if not self.headroom_theta >= 1:
-            raise ValueError(f"headroom_theta must be >= 1, got {self.headroom_theta}")
 
 
 def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
@@ -60,34 +34,19 @@ def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarra
     return np.fmod(np.floor(np.abs(coords)), m).astype(np.int64)
 
 
-def capacity_threshold(etc: EtcMatrix, policy: CapacityPolicy) -> float:
-    """Per-VM load ceiling: theta times the proportional share of the total work.
+def capacity_threshold(etc: EtcMatrix, headroom_theta: float) -> float:
+    """Per-VM load ceiling: headroom_theta (>= 1) times each VM's proportional share.
 
     Splitting the total MI in proportion to MIPS busies every VM for the same
     time, so the share is a single number for the whole fleet. It is recovered
     from the ETC columns alone: share = 1 / sum_j (1 / column_sum_j), since
     column j sums to total_mi / mips_j.
     """
+    if not headroom_theta >= 1:
+        raise ValueError(f"headroom_theta must be >= 1, got {headroom_theta}")
     column_sums = etc.entries.sum(axis=0)
     share = 1.0 / float(np.sum(1.0 / column_sums))
-    return policy.headroom_theta * share
-
-
-def vm_aware_map(
-    position: Sequence[float] | np.ndarray,
-    etc: EtcMatrix,
-    policy: CapacityPolicy = CapacityPolicy(),
-) -> np.ndarray:
-    """Decode a position, rerouting tasks that would breach a VM's ceiling.
-
-    Tasks are placed in ascending id. Each keeps its decoded VM unless that
-    VM's load plus the task's ETC would exceed the threshold; the task then
-    goes to the currently least-loaded VM (ties to the lowest index). The
-    fallback VM is used even if it is itself above threshold: every task must
-    land somewhere.
-    """
-    assignment, _ = map_with_loads(position, etc, capacity_threshold(etc, policy))
-    return assignment
+    return headroom_theta * share
 
 
 def map_with_loads(
@@ -95,7 +54,13 @@ def map_with_loads(
     etc: EtcMatrix,
     threshold: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Capacity-aware mapping that also returns the accumulated per-VM loads.
+    """Decode positions, rerouting tasks that would breach a VM's ceiling.
+
+    Tasks are placed in ascending id. Each keeps its decoded VM unless that
+    VM's load plus the task's ETC would exceed the threshold; the task then
+    goes to the currently least-loaded VM (ties to the lowest index). The
+    fallback VM is used even if it is itself above threshold: every task must
+    land somewhere. Returns the assignment and the accumulated per-VM loads.
 
     A single (n,) position gives an (n,) assignment and (m,) loads; a (k, n)
     block of positions gives (k, n) assignments and (k, m) loads, row by row

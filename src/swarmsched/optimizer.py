@@ -11,7 +11,7 @@ coordinate as a point on a circle of circumference m (the decode period):
 offsets toward an attractor take their shortest way round the circle, and
 every new position folds back into [0, m). Plain differences, and an
 encircling distance measured from the origin, would instead pull coordinates
-toward the middle of the box and decodes toward the middle VMs.
+toward the middle of the period and decodes toward the middle VMs.
 
 The swarm lives in (S, n) matrices, one row per particle. A step moves it in
 blocks of rows with one array expression per update rule, maps the same
@@ -42,14 +42,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .domain import EtcMatrix, VmSpec, Workload, build_etc
-from .encoding import (
-    CapacityPolicy,
-    capacity_threshold,
-    clamp_position,
-    decode_position,
-    map_with_loads,
-    position_bound,
-)
+from .encoding import capacity_threshold, decode_position, map_with_loads
 from .metrics import MetricsReport, default_beta, evaluate_assignment, score_loads
 
 __all__ = [
@@ -82,10 +75,11 @@ class OptimizerConfig:
     in against a concrete problem by resolve(): their natural scales depend on
     the VM count m and task count n.
 
-    The default v_max of 10m never binds. Every attractor offset is wrapped
-    to at most m / 2, so for inertia w < 1 a velocity that starts at zero
-    stays within (c1 + c2) * m / (2 * (1 - w)), which is 5m at the default
-    coefficients. The clamp only acts when v_max is set below that bound.
+    At the default coefficients the default v_max of 10m never binds. Every
+    attractor offset is wrapped to at most m / 2, so for inertia w < 1 a
+    velocity that starts at zero stays within (c1 + c2) * m / (2 * (1 - w)),
+    which is 5m at the defaults. The clamp acts only when v_max is set below
+    that bound or inertia is at least 1, where velocities can grow without it.
     """
 
     swarm_size: int = 20
@@ -138,7 +132,7 @@ class OptimizerConfig:
         n, m = etc.n, etc.m
         return replace(
             self,
-            v_max=self.v_max if self.v_max is not None else 0.5 * (2.0 * position_bound(m)),
+            v_max=self.v_max if self.v_max is not None else 10.0 * m,
             d_min=self.d_min if self.d_min is not None else 0.05 * m * math.sqrt(n),
             mutation_sigma_scale=(
                 self.mutation_sigma_scale if self.mutation_sigma_scale is not None else 0.1 * m
@@ -338,7 +332,7 @@ def gwo_guidance(
     leader's offset from the position, wrapped modulo the decode period, each
     guided point is position + D - A * |C * D|: the encircling rule
     L - A * |C * L - X| measured from the position rather than from the
-    origin, so that it does not depend on where the coordinate sits in the box.
+    origin, so that it does not depend on where the coordinate sits in the period.
     """
     if a < 0:
         raise ValueError(f"a must be non-negative, got {a}")
@@ -474,17 +468,25 @@ def initialize_swarm(
 ) -> SwarmState:
     """Uniform positions in [0, m) per coordinate, zero velocities, bests evaluated.
 
-    `seeded_positions` occupy the first slots verbatim (after clamping); the
-    rest of the swarm is drawn randomly, row i from rngs[i]. Config must
-    already be resolved.
+    `seeded_positions` occupy the first slots verbatim. Each must have shape
+    (n,) and every coordinate in [0, m), the interval every moved position
+    folds into. The rest of the swarm is drawn randomly, row i from rngs[i].
+    Config must already be resolved.
     """
     n, m = etc.n, etc.m
-    seeded = [clamp_position(p, m) for p in (seeded_positions or [])]
+    seeded = [np.asarray(p, dtype=float) for p in (seeded_positions or [])]
     if len(seeded) > config.swarm_size:
         raise ValueError(
             f"{len(seeded)} seeded positions exceed swarm_size {config.swarm_size}"
         )
-    threshold = capacity_threshold(etc, CapacityPolicy(config.headroom_theta))
+    for i, seed in enumerate(seeded):
+        # folding would not do: floor(|x|) mod m sends -0.5 to VM 0, but its
+        # fold m - 0.5 to VM m - 1
+        if seed.shape != (n,) or not np.all((seed >= 0) & (seed < m)):
+            raise ValueError(
+                f"seeded position {i} must have shape ({n},) and every coordinate in [0, {m})"
+            )
+    threshold = capacity_threshold(etc, config.headroom_theta)
     positions = np.empty((config.swarm_size, n))
     for i, row in enumerate(positions):
         row[:] = seeded[i] if i < len(seeded) else rngs[i].uniform(0.0, m, n)
@@ -535,7 +537,7 @@ def step(
     m = etc.m
     positions = state.positions
     swarm, n = positions.shape
-    threshold = capacity_threshold(etc, CapacityPolicy(config.headroom_theta))
+    threshold = capacity_threshold(etc, config.headroom_theta)
     diversity = swarm_diversity(positions)
     mutated = False
     if config.diversity_control and diversity < config.d_min:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from swarmsched.domain import build_etc
-from swarmsched.encoding import CapacityPolicy, capacity_threshold, clamp_position
+from swarmsched.encoding import capacity_threshold
 from swarmsched.metrics import MetricsReport, load_vector
 from swarmsched.optimizer import (
     ConvergenceLog,
@@ -115,8 +115,8 @@ def _cascade(state, position, fit):
 
 def initialize_swarm(etc, config, rngs, seeded_positions=None):
     n, m = etc.n, etc.m
-    seeded = [clamp_position(p, m) for p in (seeded_positions or [])]
-    threshold = capacity_threshold(etc, CapacityPolicy(config.headroom_theta))
+    seeded = seeded_positions or []
+    threshold = capacity_threshold(etc, config.headroom_theta)
     particles = []
     best_fit, best_index, best_assignment = math.inf, -1, None
     evaluations = []
@@ -150,7 +150,7 @@ def initialize_swarm(etc, config, rngs, seeded_positions=None):
 def step(state, etc, config, rngs, log):
     t = state.iteration + 1
     m = etc.m
-    threshold = capacity_threshold(etc, CapacityPolicy(config.headroom_theta))
+    threshold = capacity_threshold(etc, config.headroom_theta)
     diversity = swarm_diversity(np.stack([p.position for p in state.particles]))
     mutated = False
     if config.diversity_control and diversity < config.d_min:

@@ -20,12 +20,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from swarmsched.domain import build_etc
-from swarmsched.encoding import (
-    CapacityPolicy,
-    capacity_threshold,
-    decode_position,
-    map_with_loads,
-)
+from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
 from swarmsched.harness import (
     ExperimentPlan,
     SyntheticSource,
@@ -188,7 +183,7 @@ def test_criterion_4_load_balance(benchmark_result, capsys):
             SyntheticSpec(800, 100.0, 1000.0, workload_seed(ROOT_SEED, 0))
         )
         etc = build_etc(workload, standard_fleet(4))
-        threshold = capacity_threshold(etc, CapacityPolicy())
+        threshold = capacity_threshold(etc, 1.2)
         rng = np.random.default_rng(404)
         mapped_cv, raw_cv = [], []
         for _ in range(1000):

@@ -8,7 +8,7 @@ import pytest
 
 from swarmsched.baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
 from swarmsched.domain import Workload, build_etc
-from swarmsched.encoding import CapacityPolicy, capacity_threshold, decode_position
+from swarmsched.encoding import capacity_threshold, decode_position
 from swarmsched.metrics import evaluate_assignment, load_vector
 from swarmsched.optimizer import OptimizerConfig
 
@@ -90,7 +90,7 @@ def test_minmin_seeded_hybrid_never_loses_to_its_seed():
     plan_loads = load_vector(plan, etc)
     # premise: the greedy plan respects the capacity ceiling, so the seeded
     # particle's first evaluation scores the plan itself
-    threshold = capacity_threshold(etc, CapacityPolicy(cfg.headroom_theta))
+    threshold = capacity_threshold(etc, cfg.headroom_theta)
     assert np.all(plan_loads <= threshold)
 
     plan_fitness = evaluate_assignment(plan, etc, cfg.beta).fitness

@@ -7,28 +7,10 @@ import numpy.testing as npt
 import pytest
 
 from swarmsched.domain import EtcMatrix, build_etc
-from swarmsched.encoding import (
-    CapacityPolicy,
-    capacity_threshold,
-    clamp_position,
-    decode_position,
-    map_with_loads,
-    position_bound,
-    vm_aware_map,
-)
+from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
 from swarmsched.metrics import coefficient_of_variation, load_vector
 
 from conftest import make_fleet, make_workload, random_instance
-
-
-def test_position_bound_scales_with_fleet():
-    assert position_bound(4) == 40.0
-    assert position_bound(1) == 10.0
-
-
-def test_clamp_position_boxes_to_bound():
-    out = clamp_position([-100.0, 0.0, 100.0], m=2)
-    npt.assert_allclose(out, [-20.0, 0.0, 20.0])
 
 
 def test_decode_hand_values():
@@ -63,17 +45,19 @@ def test_decode_validation():
         decode_position([np.inf], m=2)
 
 
-def test_capacity_policy_requires_headroom_at_least_one():
-    CapacityPolicy(1.0)  # boundary accepted
-    with pytest.raises(ValueError):
-        CapacityPolicy(0.99)
+def test_capacity_policy_requires_headroom_at_least_one(tiny_workload, tiny_fleet):
+    etc = build_etc(tiny_workload, tiny_fleet)
+    capacity_threshold(etc, 1.0)  # boundary accepted
+    for theta in (0.99, np.nan):
+        with pytest.raises(ValueError, match="headroom_theta"):
+            capacity_threshold(etc, theta)
 
 
 def test_capacity_threshold_hand_value(tiny_workload, tiny_fleet):
     # column sums [0.6, 0.3]; sum of reciprocals 5.0; fair share 0.2
     etc = build_etc(tiny_workload, tiny_fleet)
-    assert capacity_threshold(etc, CapacityPolicy(1.0)) == pytest.approx(0.2)
-    assert capacity_threshold(etc, CapacityPolicy(1.2)) == pytest.approx(0.24)
+    assert capacity_threshold(etc, 1.0) == pytest.approx(0.2)
+    assert capacity_threshold(etc, 1.2) == pytest.approx(0.24)
 
 
 def test_map_with_loads_reroutes_overflow_to_least_loaded():
@@ -107,20 +91,12 @@ def test_map_with_loads_cost_recharged_on_fallback_vm():
     npt.assert_allclose(loads, [10.0, 7.0])
 
 
-def test_vm_aware_map_matches_map_with_loads(tiny_workload, tiny_fleet):
-    etc = build_etc(tiny_workload, tiny_fleet)
-    policy = CapacityPolicy(1.2)
-    direct = vm_aware_map([0.5, 1.5], etc, policy)
-    via_threshold, _ = map_with_loads([0.5, 1.5], etc, capacity_threshold(etc, policy))
-    npt.assert_array_equal(direct, via_threshold)
-
-
 def test_map_loads_agree_with_load_vector():
     rng = np.random.default_rng(11)
     workload, fleet = random_instance(rng, n=30, m=4)
     etc = build_etc(workload, fleet)
     position = rng.uniform(0, 4, 30)
-    assignment, loads = map_with_loads(position, etc, capacity_threshold(etc, CapacityPolicy()))
+    assignment, loads = map_with_loads(position, etc, capacity_threshold(etc, 1.2))
     npt.assert_allclose(loads, load_vector(assignment, etc))
 
 
@@ -129,7 +105,7 @@ def test_capacity_mapping_no_worse_balance_on_average():
     rng = np.random.default_rng(23)
     workload, fleet = random_instance(rng, n=60, m=4)
     etc = build_etc(workload, fleet)
-    threshold = capacity_threshold(etc, CapacityPolicy())
+    threshold = capacity_threshold(etc, 1.2)
     mapped_cv, raw_cv = [], []
     for _ in range(50):
         position = rng.uniform(0, 4, 60)

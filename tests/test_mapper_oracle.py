@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 import reference_mapper as ref
 from swarmsched.domain import EtcMatrix
-from swarmsched.encoding import (
-    CapacityPolicy,
-    capacity_threshold,
-    decode_position,
-    map_with_loads,
-)
+from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
 
 
 def reference_block(positions, etc, threshold):
@@ -80,7 +75,7 @@ def mapper_cases(draw):
             # one ulp under a peak: that row breaches only on its last charge there
             st.sampled_from(peaks).map(lambda peak: float(np.nextafter(peak, 0.0))),
             st.floats(0.5 * min(peaks), 1.5 * max(peaks)),
-            st.floats(1.0, 1.5).map(lambda theta: capacity_threshold(etc, CapacityPolicy(theta))),
+            st.floats(1.0, 1.5).map(lambda theta: capacity_threshold(etc, theta)),
         )
     )
     return positions, etc, threshold
@@ -99,7 +94,7 @@ def test_block_mapper_matches_the_reference_at_benchmark_sizes():
         etc = EtcMatrix(lengths[:, np.newaxis] / rng.uniform(500.0, 3000.0, m))
         positions = rng.uniform(0.0, m, (k, n))
         for theta in (1.0, 1.2, 2.0):
-            threshold = capacity_threshold(etc, CapacityPolicy(theta))
+            threshold = capacity_threshold(etc, theta)
             assert_maps_equal(positions, etc, threshold)
             assert_maps_equal(positions[0], etc, threshold)
 

@@ -12,13 +12,7 @@ import pytest
 
 from swarmsched import optimizer
 from swarmsched.domain import build_etc
-from swarmsched.encoding import (
-    CapacityPolicy,
-    capacity_threshold,
-    decode_position,
-    map_with_loads,
-    position_bound,
-)
+from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
 from swarmsched.metrics import default_beta, evaluate_assignment
 from swarmsched.workload import SyntheticSpec, generate_synthetic, standard_fleet
 from swarmsched.optimizer import (
@@ -86,7 +80,7 @@ def test_config_validation():
 def test_resolve_fills_instance_scaled_defaults(tiny_workload, tiny_fleet):
     etc = build_etc(tiny_workload, tiny_fleet)  # n=2, m=2
     cfg = OptimizerConfig().resolve(etc)
-    assert cfg.v_max == pytest.approx(0.5 * 2 * position_bound(2))
+    assert cfg.v_max == 20.0  # ten decode periods
     assert cfg.d_min == pytest.approx(0.05 * 2 * math.sqrt(2))
     assert cfg.mutation_sigma_scale == pytest.approx(0.2)
     assert cfg.beta == pytest.approx(default_beta(etc))
@@ -313,7 +307,7 @@ def test_one_update_keeps_uniform_decodes_uniform():
         draws = rng.random((1, DRAWS_PER_COORD * n))
         guide = gwo_guidance(position, alpha, beta_wolf, delta, a, draws, m)
         proposals[f"guidance at a={a}"] = combined_update(position, guide, 1.0, np.zeros(n), m)
-    config = OptimizerConfig(v_max=position_bound(m))
+    config = OptimizerConfig(v_max=10.0 * m)
     draws = rng.random((1, DRAWS_PER_COORD * n))
     velocity = velocity_update(position, np.zeros((1, n)), pbest, gbest, config, draws, m)
     proposals["velocity"] = combined_update(position, np.zeros(n), 0.0, velocity, m)
@@ -391,7 +385,7 @@ def test_initialize_swarm_population_invariants():
     cfg = OptimizerConfig(swarm_size=6, seed=42).resolve(etc)
     state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size))
 
-    threshold = capacity_threshold(etc, CapacityPolicy(cfg.headroom_theta))
+    threshold = capacity_threshold(etc, cfg.headroom_theta)
     fits = []
     for p in state.particles:
         assert p.position.shape == (etc.n,)
@@ -426,12 +420,33 @@ def test_initialize_swarm_seeded_positions_take_first_slots():
     npt.assert_array_equal(state.particles[0].position, seed_pos)
 
 
-def test_initialize_swarm_clamps_wild_seed_positions():
+def _with_coordinate(n, value):
+    position = np.full(n, 0.5)
+    position[n // 2] = value
+    return position
+
+
+BAD_SEEDS = {
+    "shape (1,)": lambda n, m: np.array([1.5]),
+    "shape ()": lambda n, m: np.array(1.5),
+    "shape (1, n)": lambda n, m: np.full((1, n), 1.5),
+    "shape (n + 1,)": lambda n, m: np.full(n + 1, 1.5),
+    "-0.5": lambda n, m: _with_coordinate(n, -0.5),
+    "m": lambda n, m: _with_coordinate(n, m),
+    "1e6": lambda n, m: _with_coordinate(n, 1e6),
+    "nan": lambda n, m: _with_coordinate(n, np.nan),
+}
+
+
+@pytest.mark.parametrize("make_seed", BAD_SEEDS.values(), ids=BAD_SEEDS.keys())
+def test_run_rejects_seeds_of_the_wrong_shape_or_outside_the_period(make_seed):
+    # a (1,) or () seed would otherwise broadcast over the whole row, and a
+    # coordinate outside [0, m) cannot be folded in without changing its decode
     workload, fleet, etc = small_problem()
-    cfg = OptimizerConfig(swarm_size=4, seed=3).resolve(etc)
-    wild = np.full(etc.n, 1e6)
-    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size), [wild])
-    npt.assert_array_equal(state.particles[0].position, np.full(etc.n, position_bound(etc.m)))
+    good = np.full(etc.n, 0.5)
+    config = OptimizerConfig(swarm_size=4, max_iterations=1, seed=3)
+    with pytest.raises(ValueError, match=r"seeded position 1 must have shape \(12,\)"):
+        run(workload, fleet, config, seeded_positions=[good, make_seed(etc.n, etc.m)])
 
 
 def test_initialize_swarm_rejects_too_many_seeds():
@@ -485,20 +500,19 @@ def test_step_counts_iterations_from_one():
     assert log.rows[0].gwo_a == pytest.approx(gwo_coefficient_a(1, cfg))
 
 
-def test_step_keeps_positions_inside_box_and_elitism_holds():
+def test_step_keeps_positions_in_the_decode_period_and_elitism_holds():
     workload, fleet, etc = small_problem(seed=5)
     cfg = OptimizerConfig(swarm_size=8, max_iterations=30, seed=11).resolve(etc)
     rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
     state = initialize_swarm(etc, cfg, rngs)
     log = ConvergenceLog()
-    bound = position_bound(etc.m)
     best_so_far = state.global_best_fitness
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rngs, log)
         assert state.global_best_fitness <= best_so_far + 1e-12
         best_so_far = state.global_best_fitness
-        for p in state.particles:
-            assert np.all(np.abs(p.position) <= bound)
+        # every move folds into [0, m]; rounding may land exactly on m
+        assert np.all((state.positions >= 0.0) & (state.positions <= etc.m))
     series = log.best_fitness_series()
     assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
 
@@ -690,7 +704,7 @@ def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
     rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
     state = initialize_swarm(etc, cfg, rngs)
     log = ConvergenceLog()
-    threshold = capacity_threshold(etc, CapacityPolicy(cfg.headroom_theta))
+    threshold = capacity_threshold(etc, cfg.headroom_theta)
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rngs, log)
         for position in state.positions:

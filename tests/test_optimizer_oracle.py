@@ -59,28 +59,32 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
     variant=st.sampled_from(["hybrid", "pso", "gwo"]),
     forced_mutation=st.booleans(),
     blend_on_pso=st.booleans(),
+    edge_seed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=1, variant="hybrid",
-         forced_mutation=True, blend_on_pso=False, seed=11)
+         forced_mutation=True, blend_on_pso=False, edge_seed=False, seed=11)
 @example(n=8, m=3, swarm=2, steps=4, seeds=0, variant="hybrid",
-         forced_mutation=False, blend_on_pso=False, seed=1)
+         forced_mutation=False, blend_on_pso=False, edge_seed=False, seed=1)
 @example(n=8, m=3, swarm=3, steps=4, seeds=2, variant="hybrid",
-         forced_mutation=True, blend_on_pso=True, seed=2)
+         forced_mutation=True, blend_on_pso=True, edge_seed=False, seed=2)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="pso",
-         forced_mutation=False, blend_on_pso=False, seed=3)
+         forced_mutation=False, blend_on_pso=False, edge_seed=False, seed=3)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="gwo",
-         forced_mutation=False, blend_on_pso=True, seed=4)
+         forced_mutation=False, blend_on_pso=True, edge_seed=False, seed=4)
 # both sides of the fitness-table bound, m ** n <= 2 ** 16: the largest
 # tabulated spaces (2 ** 16 and 4 ** 8 plans) and the smallest space above it
 @example(n=16, m=2, swarm=20, steps=4, seeds=2, variant="hybrid",
-         forced_mutation=True, blend_on_pso=False, seed=5)
+         forced_mutation=True, blend_on_pso=False, edge_seed=False, seed=5)
 @example(n=8, m=4, swarm=20, steps=4, seeds=0, variant="pso",
-         forced_mutation=False, blend_on_pso=False, seed=6)
+         forced_mutation=False, blend_on_pso=False, edge_seed=False, seed=6)
 @example(n=17, m=2, swarm=20, steps=4, seeds=1, variant="hybrid",
-         forced_mutation=False, blend_on_pso=False, seed=7)
+         forced_mutation=False, blend_on_pso=False, edge_seed=False, seed=7)
+# a seed on both ends of the decode period, 0.0 and the last float below m
+@example(n=8, m=3, swarm=7, steps=3, seeds=2, variant="hybrid",
+         forced_mutation=False, blend_on_pso=False, edge_seed=True, seed=8)
 def test_matrix_swarm_matches_per_particle_reference(
-    n, m, swarm, steps, seeds, variant, forced_mutation, blend_on_pso, seed
+    n, m, swarm, steps, seeds, variant, forced_mutation, blend_on_pso, edge_seed, seed
 ):
     rng = np.random.default_rng(seed)
     workload, fleet = random_instance(rng, n=n, m=m)
@@ -93,8 +97,10 @@ def test_matrix_swarm_matches_per_particle_reference(
     )
     if variant in VARIANT_WEIGHT:
         config = ref.pin_pure(config, VARIANT_WEIGHT[variant])
-    # some seeded rows lie outside the box and get clamped
-    seeded = list(rng.uniform(-12.0 * m, 12.0 * m, (min(seeds, swarm), n)))
+    seeded = list(rng.uniform(0.0, m, (min(seeds, swarm), n)))
+    if edge_seed and seeded:
+        seeded[0][::2] = 0.0
+        seeded[0][1::2] = np.nextafter(m, 0.0)
 
     etc = build_etc(workload, fleet)
     cfg = config.resolve(etc)
