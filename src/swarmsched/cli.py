@@ -55,7 +55,7 @@ _KNOB_KINDS: dict[str, type] = {
 _KNOB_FLAGS = {"swarm_size": "--swarm", "max_iterations": "--iterations", "headroom_theta": "--theta"}
 _KNOB_HELP = {
     "headroom_theta": "capacity headroom multiplier (default 1.2)",
-    "blend_weight_on_pso": "apply the blend weight to the velocity term instead of the guidance term",
+    "d_min": "diversity floor below which the swarm is mutated; 0 switches mutation off",
 }
 
 # Every key a config file may set, with its fully-resolved default.
@@ -153,14 +153,7 @@ def _add_workload_flags(sub: argparse.ArgumentParser) -> None:
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     for name, kind in _KNOB_KINDS.items():
         flag = _KNOB_FLAGS.get(name, "--" + name.replace("_", "-"))
-        help_text = _KNOB_HELP.get(name)
-        if kind is not bool:
-            sub.add_argument(flag, dest=name, type=kind, default=None, help=help_text)
-        elif DEFAULTS[name]:
-            sub.add_argument("--no-" + flag[2:], dest=name, action="store_false",
-                             default=None, help=help_text)
-        else:
-            sub.add_argument(flag, dest=name, action="store_true", default=None, help=help_text)
+        sub.add_argument(flag, dest=name, type=kind, default=None, help=_KNOB_HELP.get(name))
 
 
 def _load_config_file(path: str) -> dict:
@@ -261,11 +254,7 @@ def cmd_schedule(settings: dict) -> int:
         "tasks": len(workload),
         "vms": len(fleet),
         "seed": root_seed,
-        "makespan_s": report.makespan_s,
-        "throughput_tps": report.throughput_tps,
-        "cv": report.cv,
-        "boi": report.boi,
-        "fitness": report.fitness,
+        **dataclasses.asdict(report),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if settings["convergence_csv"]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import IO, Mapping, Sequence
@@ -48,18 +49,6 @@ __all__ = [
 
 ALGORITHMS = ("hybrid", "pso", "gwo", "rr", "minmin", "minmin-hybrid", "random")
 _ALGORITHM_INDEX = {name: i for i, name in enumerate(ALGORITHMS)}
-
-RAW_CSV_HEADER = (
-    "scheduler",
-    "replicate",
-    "seed",
-    "makespan_s",
-    "throughput_tps",
-    "cv",
-    "boi",
-    "fitness",
-    "wall_ms",
-)
 
 TTEST_METRICS = ("makespan_s", "throughput_tps", "cv")
 
@@ -126,6 +115,9 @@ class RunRecord:
     boi: float
     fitness: float
     wall_ms: float
+
+
+RAW_CSV_HEADER = tuple(field.name for field in fields(RunRecord))
 
 
 @dataclass(frozen=True)
@@ -220,17 +212,8 @@ def _execute_cell(
     start = perf_counter()
     _, report, log = run_scheduler(name, workload, fleet, config)
     wall_ms = (perf_counter() - start) * 1000.0
-    record = RunRecord(
-        scheduler=name,
-        replicate=replicate,
-        seed=seed,
-        makespan_s=report.makespan_s,
-        throughput_tps=report.throughput_tps,
-        cv=report.cv,
-        boi=report.boi,
-        fitness=report.fitness,
-        wall_ms=wall_ms,
-    )
+    record = RunRecord(scheduler=name, replicate=replicate, seed=seed, **asdict(report),
+                       wall_ms=wall_ms)
     return record, log
 
 
@@ -423,20 +406,7 @@ def write_raw_csv(records: Sequence[RunRecord], fh: IO[str]) -> None:
     """One row per (scheduler, replicate), in experiment order."""
     writer = csv.writer(fh)
     writer.writerow(RAW_CSV_HEADER)
-    for r in records:
-        writer.writerow(
-            [
-                r.scheduler,
-                r.replicate,
-                r.seed,
-                r.makespan_s,
-                r.throughput_tps,
-                r.cv,
-                r.boi,
-                r.fitness,
-                r.wall_ms,
-            ]
-        )
+    writer.writerows(astuple(record) for record in records)
 
 
 def _jsonable(value):
@@ -501,8 +471,17 @@ def write_ttests_json(result: ExperimentResult, fh: IO[str]) -> None:
     fh.write("\n")
 
 
+# The name write_convergence_csvs gives a log's file.
+_CONVERGENCE_CSV = re.compile(rf"({'|'.join(map(re.escape, ALGORITHMS))})_rep\d{{3,}}\.csv")
+
+
 def write_convergence_csvs(result: ExperimentResult, directory: str | Path) -> list[Path]:
-    """One CSV per (scheduler, replicate) that produced an iteration log."""
+    """One CSV per (scheduler, replicate) that produced an iteration log.
+
+    Files in the directory with such a name that this call did not write,
+    left by an earlier experiment, are removed, so the directory holds
+    exactly this experiment's logs.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
@@ -511,4 +490,7 @@ def write_convergence_csvs(result: ExperimentResult, directory: str | Path) -> l
         with open(path, "w", newline="", encoding="utf-8") as fh:
             log.write_csv(fh)
         written.append(path)
+    for path in directory.iterdir():
+        if _CONVERGENCE_CSV.fullmatch(path.name) and path not in written:
+            path.unlink()
     return written

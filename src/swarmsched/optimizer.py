@@ -1,10 +1,13 @@
 """Hybrid swarm optimizer for task placement.
 
 Each member of the population is simultaneously a PSO particle (inertia plus
-personal/global attraction) and a grey-wolf follower (guided by the three best
-solutions found so far). A blend weight decaying linearly across iterations
-shifts influence from wolf-pack guidance toward velocity refinement. When the
-swarm collapses below a diversity floor, a Gaussian mutation reinflates it.
+attraction to its personal best and to the global best) and a grey-wolf
+follower (guided by the three best solutions found so far, the alpha being
+the global best). A blend weight on the guidance term, decaying linearly
+across iterations, shifts influence from wolf-pack exploration toward
+velocity refinement. When the swarm's diversity falls below the floor d_min,
+a Gaussian mutation reinflates it; d_min = 0 switches mutation off, since
+diversity is never negative.
 
 Positions decode through floor(|x|) mod m, so the update rules treat every
 coordinate as a point on a circle of circumference m (the decode period):
@@ -25,10 +28,10 @@ the plan is evaluated: 512 KiB at most. Each evaluation decodes the swarm
 once, and only the rows whose plan has no entry are mapped and scored; the
 others read their fitness from the table. This is exact, because within a
 run a plan's assignment, loads and fitness depend only on the plan, the ETC
-matrix, the capacity threshold and beta. No assignments are stored: the
-global best's fitness is at most every fitness evaluated in the run, so a
-row can beat it only with a plan that is new in this step, and such a row
-was just mapped. Above the bound, every row is mapped and scored.
+matrix, the capacity threshold and beta. No assignments are stored: alpha's
+fitness is at most every fitness evaluated in the run, so a row can beat it
+only with a plan that is new in this step, and such a row was just mapped.
+Above the bound, every row is mapped and scored.
 """
 
 from __future__ import annotations
@@ -94,8 +97,6 @@ class OptimizerConfig:
     mutation_sigma_scale: float | None = None
     beta: float | None = None
     headroom_theta: float = 1.2
-    diversity_control: bool = True
-    blend_weight_on_pso: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -158,19 +159,18 @@ class SwarmState:
     Row i of positions, velocities and personal_best_positions, each (S, n),
     and entry i of personal_best_fitness, (S,), belong to particle i.
     alpha, beta_wolf and delta are the three lowest-fitness positions
-    evaluated so far, maintained by the classic cascade; alpha always
-    coincides with the global best. fitness_table, when the decode space is
-    small enough to have one, holds the fitness of every plan evaluated in
-    this run, NaN elsewhere; it is only valid for the ETC matrix, capacity
-    threshold and beta it was filled with.
+    evaluated so far, maintained by the classic cascade, so alpha is the
+    global best: the velocity rule pulls toward it, and
+    global_best_assignment is its mapped plan. fitness_table, when the
+    decode space is small enough to have one, holds the fitness of every
+    plan evaluated in this run, NaN elsewhere; it is only valid for the ETC
+    matrix, capacity threshold and beta it was filled with.
     """
 
     positions: np.ndarray
     velocities: np.ndarray
     personal_best_positions: np.ndarray
     personal_best_fitness: np.ndarray
-    global_best_position: np.ndarray
-    global_best_fitness: float
     global_best_assignment: np.ndarray
     alpha: np.ndarray
     beta_wolf: np.ndarray
@@ -498,8 +498,6 @@ def initialize_swarm(
         velocities=np.zeros_like(positions),
         personal_best_positions=positions.copy(),
         personal_best_fitness=fit,
-        global_best_position=positions[best].copy(),
-        global_best_fitness=float(fit[best]),
         global_best_assignment=assignments[best].copy(),
         alpha=positions[best].copy(),
         beta_wolf=positions[best].copy(),
@@ -526,12 +524,12 @@ def step(
 ) -> SwarmState:
     """Advance one iteration: diversity check and mutation, then the swarm move.
 
-    Synchronous scheme: leaders and the global best are frozen while every
-    particle moves and is evaluated, then personal bests, the global best and
-    the leader cascade absorb the new evaluations in particle order. The move
-    runs over blocks of rows, one array expression per update rule; each
-    particle still draws its own 8n uniforms per step from its own substream
-    rngs[i], so the results do not depend on the block size.
+    Synchronous scheme: the leaders are frozen while every particle moves and
+    is evaluated, then personal bests and the leader cascade absorb the new
+    evaluations in particle order. The move runs over blocks of rows, one
+    array expression per update rule; each particle still draws its own 8n
+    uniforms per step from its own substream rngs[i], so the results do not
+    depend on the block size.
     """
     t = state.iteration + 1
     m = etc.m
@@ -539,13 +537,11 @@ def step(
     swarm, n = positions.shape
     threshold = capacity_threshold(etc, config.headroom_theta)
     diversity = swarm_diversity(positions)
-    mutated = False
-    if config.diversity_control and diversity < config.d_min:
+    mutated = diversity < config.d_min
+    if mutated:
         inject_mutation(positions, mutation_sigma(config, diversity, m), rngs, m)
-        mutated = True
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
-    blend = (1.0 - lam) if config.blend_weight_on_pso else lam
 
     block = max(1, _BLOCK_COORDS // n)
     draws = np.empty((min(block, swarm), DRAWS_PER_COORD * n))
@@ -561,12 +557,12 @@ def step(
             positions[rows],
             state.velocities[rows],
             state.personal_best_positions[rows],
-            state.global_best_position,
+            state.alpha,
             config,
             block_draws,
             m,
         )
-        positions[rows] = combined_update(positions[rows], guide, blend, velocity, m)
+        positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
         state.velocities[rows] = velocity
 
     assignments, fit = _evaluate_swarm(
@@ -575,14 +571,12 @@ def step(
     improved = fit < state.personal_best_fitness
     state.personal_best_positions[improved] = positions[improved]
     state.personal_best_fitness[improved] = fit[improved]
-    # the global best never exceeds a personal best, so absorbing particles one
-    # by one would end on the first one at the lowest fitness, if it beats it.
-    # It never exceeds any fitness evaluated in this run either, so a row that
-    # beats it has a plan the table had no entry for, and was just mapped.
+    # the cascade below moves alpha to the first row at the lowest fitness, if
+    # it beats alpha. Alpha's fitness never exceeds any fitness evaluated in
+    # this run, so such a row has a plan the table had no entry for, and was
+    # just mapped.
     best = int(np.argmin(fit))
-    if fit[best] < state.global_best_fitness:
-        state.global_best_fitness = float(fit[best])
-        state.global_best_position = positions[best].copy()
+    if fit[best] < state.alpha_fitness:
         state.global_best_assignment = assignments[best].copy()
     # delta only falls, so no particle at or above it now can enter the cascade
     for i in np.flatnonzero(fit < state.delta_fitness).tolist():
@@ -595,7 +589,7 @@ def step(
     log.rows.append(
         IterationStats(
             iteration=t,
-            best_fitness=state.global_best_fitness,
+            best_fitness=state.alpha_fitness,
             mean_fitness=fitness_total / swarm,
             diversity=diversity,
             blend_weight=lam,
@@ -635,26 +629,12 @@ def run(
 def run_pure_pso(
     workload: Workload, vms: Sequence[VmSpec], config: OptimizerConfig
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
-    """Velocity-only ablation: blend pinned to 0, diversity control off."""
-    pinned = replace(
-        config,
-        lambda_max=0.0,
-        lambda_min=0.0,
-        diversity_control=False,
-        blend_weight_on_pso=False,
-    )
-    return run(workload, vms, pinned)
+    """Velocity-only ablation: blend pinned to 0, mutation off."""
+    return run(workload, vms, replace(config, lambda_max=0.0, lambda_min=0.0, d_min=0.0))
 
 
 def run_pure_gwo(
     workload: Workload, vms: Sequence[VmSpec], config: OptimizerConfig
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
-    """Guidance-only ablation: blend pinned to 1, diversity control off."""
-    pinned = replace(
-        config,
-        lambda_max=1.0,
-        lambda_min=1.0,
-        diversity_control=False,
-        blend_weight_on_pso=False,
-    )
-    return run(workload, vms, pinned)
+    """Guidance-only ablation: blend pinned to 1, mutation off."""
+    return run(workload, vms, replace(config, lambda_max=1.0, lambda_min=1.0, d_min=0.0))

@@ -8,6 +8,10 @@ maps it and scores it from its loads with the scalar formulas. Nothing here
 calls into the code under test except the pieces both forms share by design:
 the schedules, diversity, mutation strength and load_vector. Positions are
 mapped by the sequential reference mapper, not by the block mapper.
+
+The reference keeps its own global best, absorbed particle by particle from
+the personal-best updates, apart from the leader cascade, so that the oracle
+checks that the optimizer's alpha is the global best rather than assuming it.
 """
 
 from __future__ import annotations
@@ -153,12 +157,11 @@ def step(state, etc, config, rngs, log):
     threshold = capacity_threshold(etc, config.headroom_theta)
     diversity = swarm_diversity(np.stack([p.position for p in state.particles]))
     mutated = False
-    if config.diversity_control and diversity < config.d_min:
+    if diversity < config.d_min:
         inject_mutation(state.particles, mutation_sigma(config, diversity, m), rngs, m)
         mutated = True
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
-    blend = (1.0 - lam) if config.blend_weight_on_pso else lam
 
     evaluations = []
     fitness_total = 0.0
@@ -167,7 +170,7 @@ def step(state, etc, config, rngs, log):
             particle.position, state.alpha, state.beta_wolf, state.delta, a, rng, m
         )
         velocity = velocity_update(particle, state.global_best_position, config, rng, m)
-        position = combined_update(particle.position, guide, blend, velocity, m)
+        position = combined_update(particle.position, guide, lam, velocity, m)
         particle.velocity = velocity
         particle.position = position
         assignment, loads = map_with_loads(position, etc, threshold)
@@ -216,11 +219,5 @@ def run(workload, vms, config, *, seeded_positions=None):
 
 
 def pin_pure(config, weight):
-    """The ablations' config: blend pinned to weight, diversity control off."""
-    return replace(
-        config,
-        lambda_max=weight,
-        lambda_min=weight,
-        diversity_control=False,
-        blend_weight_on_pso=False,
-    )
+    """The ablations' config: blend pinned to weight, mutation off."""
+    return replace(config, lambda_max=weight, lambda_min=weight, d_min=0.0)

@@ -272,6 +272,33 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "taskz" in err
 
 
+# Two bool knobs that are gone: d_min = 0 switches mutation off, and the
+# blend weight always weights the guidance term.
+DELETED_KNOBS = {
+    "diversity_control": (False, "--no-diversity-control"),
+    "blend_weight_on_pso": (True, "--blend-weight-on-pso"),
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config", "manifest"])
+@pytest.mark.parametrize("name", DELETED_KNOBS)
+def test_deleted_optimizer_knob_is_a_usage_error(name, via, capsys, tmp_path):
+    value, flag = DELETED_KNOBS[name]
+    if via == "flag":
+        args, named = [flag], flag
+    else:
+        payload = {name: value}
+        if via == "manifest":  # as a manifest written before the knob went
+            payload = {"tool": "swarmsched", "command": "bench", "config": payload}
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        args, named = ["--config", str(config)], name
+    code, out, err = run_cli(["schedule", "--algo", "rr", "--tasks", "4", *args], capsys)
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
 def test_config_file_must_be_an_object(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text("[1, 2, 3]", encoding="utf-8")
@@ -319,7 +346,7 @@ def test_bench_writes_all_artifacts(capsys, tmp_path):
 
 def test_bench_manifest_captures_the_full_configuration(capsys, tmp_path):
     out_dir = tmp_path / "results"
-    run_cli(bench_args(out_dir, extra=["--no-diversity-control"]), capsys)
+    run_cli(bench_args(out_dir, extra=["--d-min", "0"]), capsys)
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["tool"] == "swarmsched"
     assert manifest["command"] == "bench"
@@ -327,13 +354,24 @@ def test_bench_manifest_captures_the_full_configuration(capsys, tmp_path):
     assert sorted(manifest["config"]) == sorted(DEFAULTS)
     assert manifest["config"]["algos"] == "hybrid,rr"
     assert manifest["config"]["replicates"] == 2
-    assert manifest["config"]["diversity_control"] is False
+    assert manifest["config"]["d_min"] == 0.0
     assert manifest["environment"] == {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "cpu_count": os.cpu_count(),
     }
+
+
+def test_bench_into_an_existing_out_removes_the_earlier_convergence_csvs(capsys, tmp_path):
+    out_dir = tmp_path / "results"
+    run_cli(bench_args(out_dir, extra=["--replicates", "3"]), capsys)
+    convergence = out_dir / "convergence"
+    (convergence / "notes.csv").write_text("kept\n", encoding="utf-8")
+    code, _, _ = run_cli(bench_args(out_dir, extra=["--algos", "pso,rr", "--replicates", "1"]),
+                         capsys)
+    assert code == 0
+    assert sorted(p.name for p in convergence.iterdir()) == ["notes.csv", "pso_rep000.csv"]
 
 
 def test_bench_manifest_replays_identically(capsys, tmp_path):
@@ -392,8 +430,6 @@ KNOBS = {
     "mutation_sigma_scale": (["--mutation-sigma-scale", "0.4"], 0.4),
     "beta": (["--beta", "2.5"], 2.5),
     "headroom_theta": (["--theta", "1.35"], 1.35),
-    "diversity_control": (["--no-diversity-control"], False),
-    "blend_weight_on_pso": (["--blend-weight-on-pso"], True),
 }
 FIELDS = [f.name for f in dataclasses.fields(OptimizerConfig) if f.name != "seed"]
 FLOAT_FIELDS = [name for name in FIELDS if isinstance(KNOBS[name][1], float)]

@@ -397,8 +397,6 @@ def test_initialize_swarm_population_invariants():
         assert p.personal_best_fitness == pytest.approx(report.fitness)
         fits.append(report.fitness)
 
-    assert state.global_best_fitness == pytest.approx(min(fits))
-    npt.assert_array_equal(state.global_best_position, state.alpha)
     assert state.alpha_fitness <= state.beta_fitness <= state.delta_fitness
     assert state.alpha_fitness == pytest.approx(min(fits))
     assert state.iteration == 0
@@ -506,11 +504,11 @@ def test_step_keeps_positions_in_the_decode_period_and_elitism_holds():
     rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
     state = initialize_swarm(etc, cfg, rngs)
     log = ConvergenceLog()
-    best_so_far = state.global_best_fitness
+    best_so_far = state.alpha_fitness
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rngs, log)
-        assert state.global_best_fitness <= best_so_far + 1e-12
-        best_so_far = state.global_best_fitness
+        assert state.alpha_fitness <= best_so_far + 1e-12
+        best_so_far = state.alpha_fitness
         # every move folds into [0, m]; rounding may land exactly on m
         assert np.all((state.positions >= 0.0) & (state.positions <= etc.m))
     series = log.best_fitness_series()
@@ -529,23 +527,6 @@ def test_step_last_iteration_hits_schedule_endpoints():
     assert log.rows[-1].gwo_a == pytest.approx(0.0)
 
 
-def test_step_blend_orientation_changes_moves():
-    workload, fleet, etc = small_problem(seed=9)
-
-    def positions_after_one_step(on_pso):
-        cfg = OptimizerConfig(
-            swarm_size=5, max_iterations=10, seed=13, blend_weight_on_pso=on_pso
-        ).resolve(etc)
-        rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-        state = initialize_swarm(etc, cfg, rngs)
-        step(state, etc, cfg, rngs, ConvergenceLog())
-        return np.stack([p.position for p in state.particles])
-
-    guidance_weighted = positions_after_one_step(on_pso=False)
-    velocity_weighted = positions_after_one_step(on_pso=True)
-    assert not np.allclose(guidance_weighted, velocity_weighted)
-
-
 def test_mutation_fires_when_diversity_floor_is_high():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=5, max_iterations=5, seed=1, d_min=1e9).resolve(etc)
@@ -558,10 +539,9 @@ def test_mutation_fires_when_diversity_floor_is_high():
 
 
 def test_mutation_never_fires_when_disabled():
+    # a zero floor disables mutation: diversity is never negative
     workload, fleet, etc = small_problem()
-    cfg = OptimizerConfig(
-        swarm_size=5, max_iterations=5, seed=1, d_min=1e9, diversity_control=False
-    ).resolve(etc)
+    cfg = OptimizerConfig(swarm_size=5, max_iterations=5, seed=1, d_min=0.0).resolve(etc)
     rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
     state = initialize_swarm(etc, cfg, rngs)
     log = ConvergenceLog()
@@ -624,21 +604,12 @@ def test_pure_gwo_pins_blend_to_guidance_only():
     assert not any(row.mutated for row in log.rows)
 
 
-def test_pure_variants_ignore_blend_orientation_flag():
-    # the ablations must mean the same thing whichever way the caller's
-    # config orients the blend weight
+@pytest.mark.parametrize("ablation", [run_pure_pso, run_pure_gwo])
+def test_ablations_never_mutate_whatever_the_callers_floor(ablation):
     workload, fleet, _ = small_problem(seed=2, n=15, m=3)
-    base = OptimizerConfig(swarm_size=6, max_iterations=8, blend_weight_on_pso=False)
-    flipped = OptimizerConfig(swarm_size=6, max_iterations=8, blend_weight_on_pso=True)
-    a_base, r_base, log_base = run_pure_pso(workload, fleet, base)
-    a_flip, r_flip, log_flip = run_pure_pso(workload, fleet, flipped)
-    npt.assert_array_equal(a_base, a_flip)
-    assert r_base == r_flip
-    assert log_base.rows == log_flip.rows
-    g_base = run_pure_gwo(workload, fleet, base)
-    g_flip = run_pure_gwo(workload, fleet, flipped)
-    npt.assert_array_equal(g_base[0], g_flip[0])
-    assert g_base[2].rows == g_flip[2].rows
+    cfg = OptimizerConfig(swarm_size=6, max_iterations=8, d_min=1e9)
+    assert all(row.mutated for row in run(workload, fleet, cfg)[2].rows)
+    assert not any(row.mutated for row in ablation(workload, fleet, cfg)[2].rows)
 
 
 def test_hybrid_differs_from_both_ablations():
@@ -711,6 +682,9 @@ def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
             key = int(np.dot(decode_position(position, etc.m), 3 ** np.arange(etc.n)))
             assignment, _ = map_with_loads(position, etc, threshold)
             assert state.fitness_table[key] == evaluate_assignment(assignment, etc, cfg.beta).fitness
+        # the table hands unmapped rows a -1 filler, which alpha's plan never is
+        best = evaluate_assignment(state.global_best_assignment, etc, cfg.beta)
+        assert best.fitness == state.alpha_fitness
 
 
 def test_convergence_log_csv_round_trip():
