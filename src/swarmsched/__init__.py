@@ -7,7 +7,7 @@ harness with paired statistics, and a CLI.
 """
 
 from .baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
-from .domain import EtcMatrix, Task, Timeline, VmSpec, Workload, build_etc, build_timeline
+from .domain import EtcMatrix, Task, VmSpec, Workload, build_etc
 from .encoding import capacity_threshold, decode_position, map_with_loads
 from .harness import (
     ALGORITHMS,
@@ -32,7 +32,6 @@ from .metrics import (
     evaluate_assignment,
     fitness,
     load_vector,
-    makespan,
     throughput,
 )
 from .optimizer import (
@@ -70,12 +69,9 @@ __all__ = [
     "VmSpec",
     "Workload",
     "EtcMatrix",
-    "Timeline",
     "build_etc",
-    "build_timeline",
     # metrics
     "MetricsReport",
-    "makespan",
     "throughput",
     "load_vector",
     "coefficient_of_variation",

@@ -199,6 +199,10 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key in ("limit", "replicates", "jobs", "tasks", "vms"):
         if settings[key] is not None and settings[key] < 1:
             raise UsageError(f"--{key} must be >= 1, got {settings[key]}")
+    # unused under --trace, but recorded in the manifest, which is strict JSON
+    for key in ("min_length_mi", "max_length_mi"):
+        if not math.isfinite(settings[key]):
+            raise UsageError(f"{key} must be finite, got {settings[key]}")
     if not 0 < settings["scale_mi_per_core_s"] < math.inf:
         raise UsageError(
             f"--scale must be finite and positive, got {settings['scale_mi_per_core_s']}"
@@ -267,24 +271,14 @@ def cmd_bench(settings: dict) -> int:
     algos = settings["algos"]
     if isinstance(algos, str):
         algos = tuple(name.strip() for name in algos.split(",") if name.strip())
-    unknown = [name for name in algos if name not in ALGORITHMS]
-    if unknown:
-        raise UsageError(
-            f"unknown scheduler(s) {', '.join(unknown)}; valid: {', '.join(ALGORITHMS)}"
-        )
-    if not algos:
-        raise UsageError("--algos names no scheduler")
-    duplicates = sorted({name for name in algos if algos.count(name) > 1})
-    if duplicates:
-        raise UsageError(f"duplicate scheduler(s) in --algos: {', '.join(duplicates)}")
-    plan = ExperimentPlan(
-        workload_source=_workload_source(settings),
-        fleet=standard_fleet(settings["vms"]),
-        schedulers=tuple(algos),
-        replicates=settings["replicates"],
-        root_seed=settings["seed"],
-        config=_settings_config(settings, seed=settings["seed"]),
-    )
+    source = _workload_source(settings)
+    fleet = standard_fleet(settings["vms"])
+    config = _settings_config(settings, seed=settings["seed"])
+    try:
+        plan = ExperimentPlan(source, fleet, tuple(algos), replicates=settings["replicates"],
+                              root_seed=settings["seed"], config=config)
+    except ValueError as exc:
+        raise UsageError(f"--algos: {exc}") from None
     result = run_experiment(plan, jobs=settings["jobs"])
 
     out_dir = Path(
@@ -302,7 +296,8 @@ def cmd_bench(settings: dict) -> int:
     # the canonical comma-joined form so the manifest replays identically
     manifest_settings = dict(settings, algos=",".join(algos))
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(_build_manifest("bench", manifest_settings), fh, indent=2, sort_keys=True)
+        json.dump(_build_manifest("bench", manifest_settings), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
     for name in plan.schedulers:

@@ -1,4 +1,4 @@
-"""Core scheduling domain: tasks, VM fleets, ETC matrices, execution timelines."""
+"""Core scheduling domain: tasks, VM fleets, ETC matrices, assignment checks."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ __all__ = [
     "VmSpec",
     "Workload",
     "EtcMatrix",
-    "Timeline",
     "build_etc",
-    "build_timeline",
     "check_assignment",
 ]
 
@@ -48,7 +46,6 @@ class Workload:
     """An ordered batch of independent tasks, all available at time zero."""
 
     tasks: tuple[Task, ...]
-    source_label: str = "synthetic"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -97,19 +94,6 @@ class EtcMatrix:
         return cached
 
 
-@dataclass(frozen=True)
-class Timeline:
-    """Entry/exit instants per task plus each VM's execution order.
-
-    A VM runs its tasks back to back in ascending task id, starting at time 0;
-    a task's exit minus entry is exactly its ETC on that VM.
-    """
-
-    entry_s: np.ndarray
-    exit_s: np.ndarray
-    vm_tasks: tuple[tuple[int, ...], ...]
-
-
 def check_assignment(assignment: Sequence[int] | np.ndarray, n: int, m: int) -> np.ndarray:
     """Validate a task-to-VM map: length n, integer entries in [0, m)."""
     vm_of = np.asarray(assignment)
@@ -136,18 +120,3 @@ def build_etc(workload: Workload, vms: Sequence[VmSpec]) -> EtcMatrix:
     mips = np.array([vm.mips for vm in vms], dtype=float)
     return EtcMatrix(workload.lengths_mi()[:, None] / mips[None, :])
 
-
-def build_timeline(assignment: Sequence[int] | np.ndarray, etc: EtcMatrix) -> Timeline:
-    """Chain each VM's tasks back to back in ascending task id."""
-    vm_of = check_assignment(assignment, etc.n, etc.m)
-    entry = np.empty(etc.n)
-    exit_ = np.empty(etc.n)
-    clock = [0.0] * etc.m
-    per_vm: list[list[int]] = [[] for _ in range(etc.m)]
-    rows = etc.rows()
-    for i, j in enumerate(vm_of.tolist()):
-        entry[i] = clock[j]
-        clock[j] += rows[i][j]
-        exit_[i] = clock[j]
-        per_vm[j].append(i)
-    return Timeline(entry, exit_, tuple(tuple(tasks) for tasks in per_vm))

@@ -129,7 +129,6 @@ class MetricStats:
 
 @dataclass(frozen=True)
 class AggregateResult:
-    scheduler: str
     makespan_s: MetricStats
     throughput_tps: MetricStats
     cv: MetricStats
@@ -300,7 +299,6 @@ def _aggregate(plan: ExperimentPlan, records: Sequence[RunRecord]) -> dict[str, 
         scores = dict(overall_score(means))
     return {
         name: AggregateResult(
-            scheduler=name,
             makespan_s=stats(per_metric["makespan_s"][name]),
             throughput_tps=stats(per_metric["throughput_tps"][name]),
             cv=stats(per_metric["cv"][name]),
@@ -410,6 +408,8 @@ def write_raw_csv(records: Sequence[RunRecord], fh: IO[str]) -> None:
 
 
 def _jsonable(value):
+    if isinstance(value, dict):
+        return {key: _jsonable(item) for key, item in value.items()}
     if isinstance(value, float) and not math.isfinite(value):
         return repr(value)  # 'inf'/'-inf'/'nan': strict JSON has no literals for these
     return value
@@ -419,55 +419,30 @@ def aggregates_payload(result: ExperimentResult) -> dict:
     return {
         "replicates": result.plan.replicates,
         "root_seed": result.plan.root_seed,
-        "schedulers": {
-            agg.scheduler: {
-                "makespan_s": _stats_payload(agg.makespan_s),
-                "throughput_tps": _stats_payload(agg.throughput_tps),
-                "cv": _stats_payload(agg.cv),
-                "boi": _stats_payload(agg.boi),
-                "wall_ms_mean": _jsonable(agg.wall_ms_mean),
-                "overall_score": _jsonable(agg.overall_score),
-            }
-            for agg in result.aggregates.values()
-        },
-    }
-
-
-def _stats_payload(stats: MetricStats) -> dict:
-    return {
-        "mean": _jsonable(stats.mean),
-        "std": _jsonable(stats.std),
-        "median": _jsonable(stats.median),
+        "schedulers": {name: _jsonable(asdict(agg)) for name, agg in result.aggregates.items()},
     }
 
 
 def ttests_payload(result: ExperimentResult) -> dict:
+    comparisons = []
+    for comparison in result.comparisons:
+        row = asdict(comparison)
+        row.update(row.pop("ttest"))
+        comparisons.append(_jsonable(row))
     return {
         "metrics": list(TTEST_METRICS),
         "significance_level": 0.05,
-        "comparisons": [
-            {
-                "metric": c.metric,
-                "a": c.a,
-                "b": c.b,
-                "mean_diff": _jsonable(c.mean_diff),
-                "t_statistic": _jsonable(c.ttest.t_statistic),
-                "degrees_of_freedom": c.ttest.degrees_of_freedom,
-                "p_value": _jsonable(c.ttest.p_value),
-                "significant_at_005": c.ttest.significant_at_005,
-            }
-            for c in result.comparisons
-        ],
+        "comparisons": comparisons,
     }
 
 
 def write_aggregates_json(result: ExperimentResult, fh: IO[str]) -> None:
-    json.dump(aggregates_payload(result), fh, indent=2, sort_keys=True)
+    json.dump(aggregates_payload(result), fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 
 def write_ttests_json(result: ExperimentResult, fh: IO[str]) -> None:
-    json.dump(ttests_payload(result), fh, indent=2, sort_keys=True)
+    json.dump(ttests_payload(result), fh, indent=2, sort_keys=True, allow_nan=False)
     fh.write("\n")
 
 

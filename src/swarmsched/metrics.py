@@ -7,11 +7,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .domain import EtcMatrix, Timeline, check_assignment
+from .domain import EtcMatrix, check_assignment
 
 __all__ = [
     "MetricsReport",
-    "makespan",
     "throughput",
     "load_vector",
     "coefficient_of_variation",
@@ -32,13 +31,6 @@ class MetricsReport:
     cv: float
     boi: float
     fitness: float
-
-
-def makespan(timeline: Timeline) -> float:
-    """Completion time of the last task to finish."""
-    if timeline.exit_s.size == 0:
-        raise ValueError("empty schedule: no tasks in timeline")
-    return float(timeline.exit_s.max())
 
 
 def throughput(n: int, makespan_s: float) -> float:

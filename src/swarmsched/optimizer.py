@@ -206,20 +206,18 @@ class IterationStats:
     mutated: bool
 
 
+# The convergence CSV's column name for each IterationStats field it renames.
+_LOG_COLUMNS = {"blend_weight": "lambda", "gwo_a": "a"}
+
+
 @dataclass
 class ConvergenceLog:
-    """Per-iteration trace of one run; serializes to CSV."""
+    """Per-iteration trace of one run; serializes to CSV, one column per IterationStats field."""
 
     rows: list[IterationStats] = field(default_factory=list)
 
-    CSV_HEADER: ClassVar[tuple[str, ...]] = (
-        "iteration",
-        "best_fitness",
-        "mean_fitness",
-        "diversity",
-        "lambda",
-        "a",
-        "mutated",
+    CSV_HEADER: ClassVar[tuple[str, ...]] = tuple(
+        _LOG_COLUMNS.get(stat.name, stat.name) for stat in fields(IterationStats)
     )
 
     def best_fitness_series(self) -> list[float]:
@@ -229,17 +227,9 @@ class ConvergenceLog:
         writer = csv.writer(fh)
         writer.writerow(self.CSV_HEADER)
         for row in self.rows:
-            writer.writerow(
-                [
-                    row.iteration,
-                    row.best_fitness,
-                    row.mean_fitness,
-                    row.diversity,
-                    row.blend_weight,
-                    row.gwo_a,
-                    int(row.mutated),
-                ]
-            )
+            values = (getattr(row, stat.name) for stat in fields(IterationStats))
+            # flags as 0/1
+            writer.writerow([int(value) if isinstance(value, bool) else value for value in values])
 
 
 def blend_weight(t: int, config: OptimizerConfig) -> float:

@@ -6,7 +6,6 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -65,9 +64,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Workload:
     """n tasks with lengths uniform in [min, max] MI; reproducible per seed."""
     rng = np.random.default_rng(spec.seed)
     lengths = rng.uniform(spec.min_length_mi, spec.max_length_mi, spec.n)
-    return Workload(
-        tuple(Task(i, float(length)) for i, length in enumerate(lengths)), "synthetic"
-    )
+    return Workload(tuple(Task(i, float(length)) for i, length in enumerate(lengths)))
 
 
 def ingest_trace(
@@ -118,7 +115,7 @@ def ingest_trace(
                 break
     if not tasks:
         raise ValueError(f"empty trace: no valid records in {path}")
-    return Workload(tuple(tasks), "trace")
+    return Workload(tuple(tasks))
 
 
 def export_trace_csv(

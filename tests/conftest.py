@@ -8,9 +8,9 @@ import pytest
 from swarmsched.domain import Task, VmSpec, Workload
 
 
-def make_workload(lengths_mi, label="synthetic"):
+def make_workload(lengths_mi):
     tasks = tuple(Task(i, float(length)) for i, length in enumerate(lengths_mi))
-    return Workload(tasks=tasks, source_label=label)
+    return Workload(tasks=tasks)
 
 
 def make_fleet(mips_list):

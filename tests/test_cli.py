@@ -145,6 +145,8 @@ def test_nonpositive_scale_is_a_usage_error(capsys, tmp_path):
         (["schedule", "--algo", "rr", "--min-length", "inf", "--max-length", "inf"],
          "min_length_mi"),
         (["bench", "--algos", "rr", "--replicates", "1", "--max-length", "inf"], "max_length_mi"),
+        (["bench", "--algos", "rr", "--replicates", "1", "--trace", "t.csv", "--min-length", "nan"],
+         "min_length_mi"),
     ],
 )
 def test_infinite_length_is_a_usage_error(command, field, capsys, tmp_path, monkeypatch):

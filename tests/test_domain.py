@@ -1,4 +1,4 @@
-"""Core data model: tasks, VMs, the ETC table and per-VM timelines."""
+"""Core data model: tasks, VMs, the ETC table and assignment checks."""
 
 from __future__ import annotations
 
@@ -12,11 +12,8 @@ from swarmsched.domain import (
     VmSpec,
     Workload,
     build_etc,
-    build_timeline,
     check_assignment,
 )
-
-from conftest import make_fleet, make_workload
 
 
 def test_task_rejects_nonpositive_length():
@@ -101,25 +98,3 @@ def test_check_assignment_rejects_bad_input():
         check_assignment([0, 2], n=2, m=2)
     with pytest.raises(ValueError, match="outside"):
         check_assignment([0, -1], n=2, m=2)
-
-
-def test_build_timeline_chains_tasks_per_vm():
-    # Three tasks on two VMs; VM0 runs tasks 0 and 2 back to back.
-    workload = make_workload([100.0, 200.0, 300.0])
-    fleet = make_fleet([100.0, 100.0])  # ETC column: [1, 2, 3] seconds on either VM
-    etc = build_etc(workload, fleet)
-    timeline = build_timeline([0, 1, 0], etc)
-
-    npt.assert_allclose(timeline.entry_s, [0.0, 0.0, 1.0])
-    npt.assert_allclose(timeline.exit_s, [1.0, 2.0, 4.0])
-    assert timeline.vm_tasks == ((0, 2), (1,))
-    # each task occupies the VM for exactly its ETC
-    chosen = etc.entries[np.arange(3), [0, 1, 0]]
-    npt.assert_allclose(timeline.exit_s - timeline.entry_s, chosen)
-
-
-def test_build_timeline_rejects_bad_assignment():
-    workload = make_workload([100.0, 200.0])
-    etc = build_etc(workload, make_fleet([100.0]))
-    with pytest.raises(ValueError, match="invalid assignment"):
-        build_timeline([0, 1], etc)

@@ -5,12 +5,14 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy import stats as scipy_stats
 
+from swarmsched import harness
 from swarmsched.domain import build_etc
 from swarmsched.harness import (
     ALGORITHMS,
@@ -430,6 +432,39 @@ def test_ttest_payload_encodes_infinite_statistics_as_strings():
     assert _jsonable(-math.inf) == "-inf"
     assert _jsonable(1.5) == 1.5
     assert json.dumps(_jsonable(math.inf)) == '"inf"'
+
+
+def _with_non_finite_fields(result):
+    """The result with one nested t statistic at inf and one nested std at nan."""
+    comparison = result.comparisons[0]
+    rr = result.aggregates["rr"]
+    return replace(
+        result,
+        comparisons=(replace(comparison, ttest=replace(comparison.ttest, t_statistic=math.inf)),
+                     *result.comparisons[1:]),
+        aggregates={**result.aggregates, "rr": replace(rr, makespan_s=replace(rr.makespan_s,
+                                                                                 std=math.nan))},
+    )
+
+
+def test_writers_encode_nested_non_finite_values_as_strings():
+    # the values sit inside the records an aggregate and a comparison nest
+    rigged = _with_non_finite_fields(run_experiment(small_plan(("rr", "minmin"), replicates=2)))
+    agg_buffer, ttest_buffer = io.StringIO(), io.StringIO()
+    write_aggregates_json(rigged, agg_buffer)
+    write_ttests_json(rigged, ttest_buffer)
+    aggregates = json.loads(agg_buffer.getvalue())
+    ttests = json.loads(ttest_buffer.getvalue())
+    assert aggregates["schedulers"]["rr"]["makespan_s"]["std"] == "nan"
+    assert ttests["comparisons"][0]["t_statistic"] == "inf"
+
+
+def test_json_writers_refuse_non_finite_values_that_escape_encoding(monkeypatch):
+    rigged = _with_non_finite_fields(run_experiment(small_plan(("rr", "minmin"), replicates=2)))
+    monkeypatch.setattr(harness, "_jsonable", lambda value: value)
+    for write in (write_aggregates_json, write_ttests_json):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(rigged, io.StringIO())
 
 
 def test_write_convergence_csvs_names_and_contents(tmp_path):

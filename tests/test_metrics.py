@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from swarmsched.domain import Timeline, build_etc, build_timeline
+from swarmsched.domain import build_etc
 from swarmsched.metrics import (
     balance_optimality_index,
     coefficient_of_variation,
@@ -14,28 +14,14 @@ from swarmsched.metrics import (
     evaluate_assignment,
     fitness,
     load_vector,
-    makespan,
     throughput,
 )
-
-from conftest import make_fleet, make_workload
 
 
 @pytest.fixture
 def tiny_etc(tiny_workload, tiny_fleet):
     # [[0.1, 0.05], [0.5, 0.25]] seconds
     return build_etc(tiny_workload, tiny_fleet)
-
-
-def test_makespan_is_last_exit(tiny_etc):
-    timeline = build_timeline([0, 1], tiny_etc)
-    assert makespan(timeline) == pytest.approx(0.25)
-
-
-def test_makespan_rejects_empty_timeline():
-    empty = Timeline(np.array([]), np.array([]), ())
-    with pytest.raises(ValueError, match="empty schedule"):
-        makespan(empty)
 
 
 def test_throughput_hand_value():
@@ -110,14 +96,3 @@ def test_evaluate_assignment_end_to_end(tiny_etc):
     assert report.cv == pytest.approx(3.0 / 7.0)
     assert report.boi == pytest.approx(0.7)
     assert report.fitness == pytest.approx(0.28375)
-
-
-def test_makespan_equals_max_load_under_chained_execution():
-    rng = np.random.default_rng(7)
-    workload = make_workload(rng.uniform(100, 1000, 12))
-    fleet = make_fleet([800.0, 1000.0, 1200.0])
-    etc = build_etc(workload, fleet)
-    assignment = rng.integers(0, 3, 12)
-    timeline = build_timeline(assignment, etc)
-    loads = load_vector(assignment, etc)
-    assert makespan(timeline) == pytest.approx(loads.max())

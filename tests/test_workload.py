@@ -58,7 +58,6 @@ def test_generate_synthetic_reproducible_and_in_range():
     assert len(a) == 200
     assert a.lengths_mi().min() >= 100.0
     assert a.lengths_mi().max() <= 1000.0
-    assert a.source_label == "synthetic"
     different = generate_synthetic(SyntheticSpec(200, 100.0, 1000.0, seed=43))
     assert not np.array_equal(a.lengths_mi(), different.lengths_mi())
 
@@ -72,7 +71,6 @@ def test_ingest_trace_converts_core_seconds_to_mi(tmp_path):
     path = write_trace(tmp_path, f"{HEADER}\nj1,0.5,10\nj2,1.0,2\n")
     workload = ingest_trace(path, limit=10, scale_mi_per_core_s=1000.0)
     npt.assert_allclose(workload.lengths_mi(), [5000.0, 2000.0])
-    assert workload.source_label == "trace"
 
 
 def test_ingest_trace_default_scale(tmp_path):
