@@ -205,13 +205,13 @@ def run_scheduler(
 
 
 def _execute_cell(
-    args: tuple[str, int, int, Workload, tuple[VmSpec, ...], OptimizerConfig],
+    args: tuple[str, int, Workload, tuple[VmSpec, ...], OptimizerConfig],
 ) -> tuple[RunRecord, ConvergenceLog | None]:
-    name, replicate, seed, workload, fleet, config = args
+    name, replicate, workload, fleet, config = args
     start = perf_counter()
     _, report, log = run_scheduler(name, workload, fleet, config)
     wall_ms = (perf_counter() - start) * 1000.0
-    record = RunRecord(scheduler=name, replicate=replicate, seed=seed, **asdict(report),
+    record = RunRecord(scheduler=name, replicate=replicate, seed=config.seed, **asdict(report),
                        wall_ms=wall_ms)
     return record, log
 
@@ -251,7 +251,6 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
         (
             name,
             r,
-            scheduler_seed(plan.root_seed, name, r),
             workloads[r],
             plan.fleet,
             replace(plan.config, seed=scheduler_seed(plan.root_seed, name, r)),
@@ -272,24 +271,37 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
         if log is not None:
             convergence[(record.scheduler, record.replicate)] = log
 
-    aggregates = _aggregate(plan, records)
-    comparisons = _compare_all_pairs(plan, records)
+    per_metric = _metric_arrays(records)
+    aggregates = _aggregate(plan, per_metric)
+    comparisons = _compare_all_pairs(plan, per_metric)
     return ExperimentResult(plan, tuple(records), aggregates, tuple(comparisons), convergence)
 
 
-def _metric_arrays(records: Sequence[RunRecord], name: str) -> dict[str, np.ndarray]:
-    by_scheduler: dict[str, list[float]] = {}
+# The RunRecord columns that aggregates or t-tests read.
+_STAT_METRICS = (*TTEST_METRICS, "boi", "wall_ms")
+
+
+def _metric_arrays(records: Sequence[RunRecord]) -> dict[str, dict[str, np.ndarray]]:
+    """Each metric's values by scheduler, in record order: per_metric[metric][scheduler]."""
+    by_scheduler: dict[str, list[RunRecord]] = {}
     for record in records:
-        by_scheduler.setdefault(record.scheduler, []).append(getattr(record, name))
-    return {s: np.asarray(vals) for s, vals in by_scheduler.items()}
+        by_scheduler.setdefault(record.scheduler, []).append(record)
+    return {
+        metric: {
+            name: np.asarray([getattr(record, metric) for record in group])
+            for name, group in by_scheduler.items()
+        }
+        for metric in _STAT_METRICS
+    }
 
 
-def _aggregate(plan: ExperimentPlan, records: Sequence[RunRecord]) -> dict[str, AggregateResult]:
+def _aggregate(
+    plan: ExperimentPlan, per_metric: Mapping[str, Mapping[str, np.ndarray]]
+) -> dict[str, AggregateResult]:
     def stats(values: np.ndarray) -> MetricStats:
         # population std: with one replicate the spread is identically zero
         return MetricStats(float(values.mean()), float(values.std()), float(np.median(values)))
 
-    per_metric = {name: _metric_arrays(records, name) for name in RAW_CSV_HEADER[3:]}
     scores: dict[str, float | None] = {name: None for name in plan.schedulers}
     if len(plan.schedulers) >= 2:
         means = {
@@ -311,13 +323,13 @@ def _aggregate(plan: ExperimentPlan, records: Sequence[RunRecord]) -> dict[str, 
 
 
 def _compare_all_pairs(
-    plan: ExperimentPlan, records: Sequence[RunRecord]
+    plan: ExperimentPlan, per_metric: Mapping[str, Mapping[str, np.ndarray]]
 ) -> list[PairwiseComparison]:
     if plan.replicates < 2 or len(plan.schedulers) < 2:
         return []
     comparisons = []
     for metric in TTEST_METRICS:
-        arrays = _metric_arrays(records, metric)
+        arrays = per_metric[metric]
         for i, a in enumerate(plan.schedulers):
             for b in plan.schedulers[i + 1 :]:
                 diff = arrays[a] - arrays[b]

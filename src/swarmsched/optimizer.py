@@ -28,10 +28,8 @@ the plan is evaluated: 512 KiB at most. Each evaluation decodes the swarm
 once, and only the rows whose plan has no entry are mapped and scored; the
 others read their fitness from the table. This is exact, because within a
 run a plan's assignment, loads and fitness depend only on the plan, the ETC
-matrix, the capacity threshold and beta. No assignments are stored: alpha's
-fitness is at most every fitness evaluated in the run, so a row can beat it
-only with a plan that is new in this step, and such a row was just mapped.
-Above the bound, every row is mapped and scored.
+matrix, the capacity threshold and beta. Above the bound, every row is
+mapped and scored.
 """
 
 from __future__ import annotations
@@ -160,9 +158,8 @@ class SwarmState:
     and entry i of personal_best_fitness, (S,), belong to particle i.
     alpha, beta_wolf and delta are the three lowest-fitness positions
     evaluated so far, maintained by the classic cascade, so alpha is the
-    global best: the velocity rule pulls toward it, and
-    global_best_assignment is its mapped plan. fitness_table, when the
-    decode space is small enough to have one, holds the fitness of every
+    global best, and the velocity rule pulls toward it. fitness_table, when
+    the decode space is small enough to have one, holds the fitness of every
     plan evaluated in this run, NaN elsewhere; it is only valid for the ETC
     matrix, capacity threshold and beta it was filled with.
     """
@@ -171,7 +168,6 @@ class SwarmState:
     velocities: np.ndarray
     personal_best_positions: np.ndarray
     personal_best_fitness: np.ndarray
-    global_best_assignment: np.ndarray
     alpha: np.ndarray
     beta_wolf: np.ndarray
     delta: np.ndarray
@@ -410,16 +406,15 @@ def _fitness_table(n: int, m: int) -> np.ndarray | None:
 
 def _map_and_score(
     positions: np.ndarray, etc: EtcMatrix, threshold: float, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Map the rows block by block, then score all rows from their loads at once."""
     swarm, n = positions.shape
-    assignments = np.empty((swarm, n), dtype=np.int64)
     loads = np.empty((swarm, etc.m))
     block = max(1, _BLOCK_COORDS // n)
     for start in range(0, swarm, block):
         rows = slice(start, start + block)
-        assignments[rows], loads[rows] = map_with_loads(positions[rows], etc, threshold)
-    return assignments, score_loads(loads, beta)[3]
+        loads[rows] = map_with_loads(positions[rows], etc, threshold)[1]
+    return score_loads(loads, beta)[3]
 
 
 def _evaluate_swarm(
@@ -428,26 +423,23 @@ def _evaluate_swarm(
     threshold: float,
     beta: float,
     table: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Assignments and fitness of every row, through the fitness table if any.
+) -> np.ndarray:
+    """Fitness of every row, through the fitness table if any.
 
     Without a table every row is mapped and scored. With one, a row's key is
     its decoded plan d read as the base-m number sum_i d_i * m**i. Only the
     rows whose plan has no entry yet are mapped and scored, and their fitness
-    fills the table; the other rows read their fitness from it and get an
-    assignment of -1s.
+    fills the table; the other rows read their fitness from it.
     """
     if table is None:
         return _map_and_score(positions, etc, threshold, beta)
-    swarm, n = positions.shape
-    keys = decode_position(positions, etc.m) @ etc.m ** np.arange(n)
+    keys = decode_position(positions, etc.m) @ etc.m ** np.arange(positions.shape[1])
     fit = table[keys]
     fresh = np.flatnonzero(np.isnan(fit))
-    assignments = np.full((swarm, n), -1)
     if fresh.size:
-        assignments[fresh], fit[fresh] = _map_and_score(positions[fresh], etc, threshold, beta)
+        fit[fresh] = _map_and_score(positions[fresh], etc, threshold, beta)
         table[keys[fresh]] = fit[fresh]
-    return assignments, fit
+    return fit
 
 
 def initialize_swarm(
@@ -481,14 +473,13 @@ def initialize_swarm(
     for i, row in enumerate(positions):
         row[:] = seeded[i] if i < len(seeded) else rngs[i].uniform(0.0, m, n)
     table = _fitness_table(n, m)
-    assignments, fit = _evaluate_swarm(positions, etc, threshold, config.beta, table)
+    fit = _evaluate_swarm(positions, etc, threshold, config.beta, table)
     best = int(np.argmin(fit))
     state = SwarmState(
         positions=positions,
         velocities=np.zeros_like(positions),
         personal_best_positions=positions.copy(),
         personal_best_fitness=fit,
-        global_best_assignment=assignments[best].copy(),
         alpha=positions[best].copy(),
         beta_wolf=positions[best].copy(),
         delta=positions[best].copy(),
@@ -497,9 +488,7 @@ def initialize_swarm(
     )
     for position, value in zip(positions, fit.tolist()):
         _cascade_leaders(state, position, value)
-    # packs of two start with delta mirroring beta_wolf
-    if not math.isfinite(state.beta_fitness):
-        state.beta_wolf, state.beta_fitness = state.alpha.copy(), state.alpha_fitness
+    # swarm_size >= 2 fills beta_wolf; packs of two start with delta mirroring it
     if not math.isfinite(state.delta_fitness):
         state.delta, state.delta_fitness = state.beta_wolf.copy(), state.beta_fitness
     return state
@@ -555,19 +544,10 @@ def step(
         positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
         state.velocities[rows] = velocity
 
-    assignments, fit = _evaluate_swarm(
-        positions, etc, threshold, config.beta, state.fitness_table
-    )
+    fit = _evaluate_swarm(positions, etc, threshold, config.beta, state.fitness_table)
     improved = fit < state.personal_best_fitness
     state.personal_best_positions[improved] = positions[improved]
     state.personal_best_fitness[improved] = fit[improved]
-    # the cascade below moves alpha to the first row at the lowest fitness, if
-    # it beats alpha. Alpha's fitness never exceeds any fitness evaluated in
-    # this run, so such a row has a plan the table had no entry for, and was
-    # just mapped.
-    best = int(np.argmin(fit))
-    if fit[best] < state.alpha_fitness:
-        state.global_best_assignment = assignments[best].copy()
     # delta only falls, so no particle at or above it now can enter the cascade
     for i in np.flatnonzero(fit < state.delta_fitness).tolist():
         _cascade_leaders(state, positions[i], float(fit[i]))
@@ -599,8 +579,10 @@ def run(
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
     """Optimize a placement; returns (assignment, metrics, per-iteration log).
 
-    One root seed drives the whole run, and every particle owns an
-    independent substream. The swarm moves as blocks of matrix rows, but each
+    The assignment is alpha's mapped plan: alpha is mapped once, after the
+    last step, since the mapper gives a position the same plan every time
+    within a run. One root seed drives the whole run, and every particle owns
+    an independent substream. The swarm moves as blocks of matrix rows, but each
     row draws from its own particle's substream, so the result depends
     neither on the block size nor on how the rows are grouped.
     """
@@ -612,8 +594,8 @@ def run(
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rngs, log)
-    report = evaluate_assignment(state.global_best_assignment, etc, cfg.beta)
-    return state.global_best_assignment.copy(), report, log
+    assignment = map_with_loads(state.alpha, etc, capacity_threshold(etc, cfg.headroom_theta))[0]
+    return assignment, evaluate_assignment(assignment, etc, cfg.beta), log
 
 
 def run_pure_pso(

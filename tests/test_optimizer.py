@@ -408,6 +408,23 @@ def test_initialize_swarm_leaders_finite_for_minimal_swarm():
     state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size))
     assert math.isfinite(state.beta_fitness)
     assert math.isfinite(state.delta_fitness)
+    # the cascade fills beta_wolf from the second row; delta mirrors it
+    assert state.beta_fitness == state.personal_best_fitness.max()
+    npt.assert_array_equal(state.delta, state.beta_wolf)
+    assert state.delta_fitness == state.beta_fitness
+
+
+def test_initialize_swarm_ranks_tied_rows_in_row_order():
+    # positions that decode to one plan tie on fitness; the cascade only
+    # promotes a strictly lower fitness, so earlier rows lead
+    workload, fleet, etc = small_problem()
+    cfg = OptimizerConfig(swarm_size=3, seed=3).resolve(etc)
+    plan = np.arange(etc.n) % etc.m
+    seeds = [plan + 0.25, plan + 0.5, plan + 0.75]
+    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size), seeds)
+    assert len(set(state.personal_best_fitness.tolist())) == 1
+    for leader, row in zip((state.alpha, state.beta_wolf, state.delta), seeds):
+        npt.assert_array_equal(leader, row)
 
 
 def test_initialize_swarm_seeded_positions_take_first_slots():
@@ -646,12 +663,13 @@ def test_run_maps_each_plan_once_when_the_decode_space_is_small(monkeypatch):
 
 
 def test_run_maps_every_row_above_the_table_bound(monkeypatch):
-    # 2 ** 17 plans exceed the bound: every row of every evaluation is mapped
+    # 2 ** 17 plans exceed the bound: every row of every evaluation is mapped,
+    # and run maps alpha once more at the end for the plan it returns
     mapped = count_mapped_rows(monkeypatch)
     workload = generate_synthetic(SyntheticSpec(17, seed=3))
     cfg = OptimizerConfig(swarm_size=6, max_iterations=10, seed=3)
     run(workload, standard_fleet(2), cfg)
-    assert mapped[0] == cfg.swarm_size * (cfg.max_iterations + 1)
+    assert mapped[0] == cfg.swarm_size * (cfg.max_iterations + 1) + 1
 
 
 @pytest.mark.parametrize(
@@ -682,9 +700,8 @@ def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
             key = int(np.dot(decode_position(position, etc.m), 3 ** np.arange(etc.n)))
             assignment, _ = map_with_loads(position, etc, threshold)
             assert state.fitness_table[key] == evaluate_assignment(assignment, etc, cfg.beta).fitness
-        # the table hands unmapped rows a -1 filler, which alpha's plan never is
-        best = evaluate_assignment(state.global_best_assignment, etc, cfg.beta)
-        assert best.fitness == state.alpha_fitness
+        alpha_plan, _ = map_with_loads(state.alpha, etc, threshold)
+        assert evaluate_assignment(alpha_plan, etc, cfg.beta).fitness == state.alpha_fitness
 
 
 def test_convergence_log_csv_round_trip():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import reference_optimizer as ref
 from swarmsched import optimizer
 from swarmsched.domain import build_etc
+from swarmsched.encoding import capacity_threshold, map_with_loads
 from swarmsched.optimizer import (
     ConvergenceLog,
     OptimizerConfig,
@@ -27,7 +28,7 @@ MULTI_BLOCK_N = 1500
 VARIANT_WEIGHT = {"pso": 0.0, "gwo": 1.0}
 
 
-def assert_states_equal(state, reference):
+def assert_states_equal(state, reference, etc, threshold):
     particles = reference.particles
     npt.assert_array_equal(state.positions, np.stack([p.position for p in particles]))
     npt.assert_array_equal(state.velocities, np.stack([p.velocity for p in particles]))
@@ -37,7 +38,10 @@ def assert_states_equal(state, reference):
     assert state.personal_best_fitness.tolist() == [p.personal_best_fitness for p in particles]
     # alpha is the optimizer's only global best; the reference keeps its own
     npt.assert_array_equal(state.alpha, reference.global_best_position)
-    npt.assert_array_equal(state.global_best_assignment, reference.global_best_assignment)
+    # the optimizer keeps no plan, but alpha's mapped plan is the reference's
+    npt.assert_array_equal(
+        map_with_loads(state.alpha, etc, threshold)[0], reference.global_best_assignment
+    )
     assert state.alpha_fitness == reference.global_best_fitness
     for leader, fit in (("alpha", "alpha"), ("beta_wolf", "beta"), ("delta", "delta")):
         npt.assert_array_equal(getattr(state, leader), getattr(reference, leader))
@@ -107,12 +111,13 @@ def test_matrix_swarm_matches_per_particle_reference(
     ref_rngs = ref.spawn_rngs(cfg.seed, swarm)
     state = initialize_swarm(etc, cfg, rngs, seeded)
     reference = ref.initialize_swarm(etc, cfg, ref_rngs, seeded)
-    assert_states_equal(state, reference)
+    threshold = capacity_threshold(etc, cfg.headroom_theta)
+    assert_states_equal(state, reference, etc, threshold)
     log, ref_log = ConvergenceLog(), ConvergenceLog()
     for _ in range(steps):
         step(state, etc, cfg, rngs, log)
         ref.step(reference, etc, cfg, ref_rngs, ref_log)
-        assert_states_equal(state, reference)
+        assert_states_equal(state, reference, etc, threshold)
     assert log.rows == ref_log.rows
     if variant != "hybrid":
         assert not any(row.mutated for row in log.rows)
