@@ -158,10 +158,11 @@ class SwarmState:
     and entry i of personal_best_fitness, (S,), belong to particle i.
     alpha, beta_wolf and delta are the three lowest-fitness positions
     evaluated so far, maintained by the classic cascade, so alpha is the
-    global best, and the velocity rule pulls toward it. fitness_table, when
-    the decode space is small enough to have one, holds the fitness of every
-    plan evaluated in this run, NaN elsewhere; it is only valid for the ETC
-    matrix, capacity threshold and beta it was filled with.
+    global best, and the velocity rule pulls toward it. threshold is the
+    mapper's capacity threshold, fixed for the run. fitness_table, when the
+    decode space is small enough to have one, holds the fitness of every plan
+    evaluated in this run, NaN elsewhere; it is only valid for the ETC
+    matrix, threshold and beta it was filled with.
     """
 
     positions: np.ndarray
@@ -171,11 +172,12 @@ class SwarmState:
     alpha: np.ndarray
     beta_wolf: np.ndarray
     delta: np.ndarray
+    threshold: float
+    fitness_table: np.ndarray | None
     alpha_fitness: float = math.inf
     beta_fitness: float = math.inf
     delta_fitness: float = math.inf
     iteration: int = 0
-    fitness_table: np.ndarray | None = None
 
     @property
     def particles(self) -> list[Particle]:
@@ -363,22 +365,19 @@ def mutation_sigma(config: OptimizerConfig, diversity: float, m: int) -> float:
 
 
 def inject_mutation(
-    positions: np.ndarray,
-    sigma: float,
-    rngs: Sequence[np.random.Generator],
-    period: float,
+    positions: np.ndarray, sigma: float, rng: np.random.Generator, period: float
 ) -> None:
     """Perturb every coordinate of every row of positions by N(0, sigma^2),
     then fold the result into [0, period], in place.
 
-    Row i draws its kick from rngs[i]. Personal bests and velocities are
-    left untouched; only positions move.
+    The rows draw their kicks from rng in row order. Personal bests and
+    velocities are left untouched; only positions move.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     # row by row: whole-swarm kicks and their temporaries raised peak memory
     # by about 3 MB at 5000 tasks, and mutation is too rare to gain from them
-    for row, rng in zip(positions, rngs):
+    for row in positions:
         row[:] = _fold_position(row + rng.normal(0.0, sigma, row.shape[0]), period)
 
 
@@ -445,15 +444,15 @@ def _evaluate_swarm(
 def initialize_swarm(
     etc: EtcMatrix,
     config: OptimizerConfig,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     seeded_positions: Sequence[np.ndarray] | None = None,
 ) -> SwarmState:
     """Uniform positions in [0, m) per coordinate, zero velocities, bests evaluated.
 
     `seeded_positions` occupy the first slots verbatim. Each must have shape
     (n,) and every coordinate in [0, m), the interval every moved position
-    folds into. The rest of the swarm is drawn randomly, row i from rngs[i].
-    Config must already be resolved.
+    folds into. The rest of the swarm is one uniform draw from rng, in row
+    order. Config must already be resolved.
     """
     n, m = etc.n, etc.m
     seeded = [np.asarray(p, dtype=float) for p in (seeded_positions or [])]
@@ -469,9 +468,7 @@ def initialize_swarm(
                 f"seeded position {i} must have shape ({n},) and every coordinate in [0, {m})"
             )
     threshold = capacity_threshold(etc, config.headroom_theta)
-    positions = np.empty((config.swarm_size, n))
-    for i, row in enumerate(positions):
-        row[:] = seeded[i] if i < len(seeded) else rngs[i].uniform(0.0, m, n)
+    positions = np.vstack([*seeded, rng.uniform(0.0, m, (config.swarm_size - len(seeded), n))])
     table = _fitness_table(n, m)
     fit = _evaluate_swarm(positions, etc, threshold, config.beta, table)
     best = int(np.argmin(fit))
@@ -483,7 +480,7 @@ def initialize_swarm(
         alpha=positions[best].copy(),
         beta_wolf=positions[best].copy(),
         delta=positions[best].copy(),
-        iteration=0,
+        threshold=threshold,
         fitness_table=table,
     )
     for position, value in zip(positions, fit.tolist()):
@@ -498,7 +495,7 @@ def step(
     state: SwarmState,
     etc: EtcMatrix,
     config: OptimizerConfig,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator,
     log: ConvergenceLog,
 ) -> SwarmState:
     """Advance one iteration: diversity check and mutation, then the swarm move.
@@ -506,19 +503,18 @@ def step(
     Synchronous scheme: the leaders are frozen while every particle moves and
     is evaluated, then personal bests and the leader cascade absorb the new
     evaluations in particle order. The move runs over blocks of rows, one
-    array expression per update rule; each particle still draws its own 8n
-    uniforms per step from its own substream rngs[i], so the results do not
-    depend on the block size.
+    array expression per update rule. Each block fills its rows of draws from
+    rng in row order, so every particle gets the same 8n uniforms whatever the
+    block size.
     """
     t = state.iteration + 1
     m = etc.m
     positions = state.positions
     swarm, n = positions.shape
-    threshold = capacity_threshold(etc, config.headroom_theta)
     diversity = swarm_diversity(positions)
     mutated = diversity < config.d_min
     if mutated:
-        inject_mutation(positions, mutation_sigma(config, diversity, m), rngs, m)
+        inject_mutation(positions, mutation_sigma(config, diversity, m), rng, m)
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
 
@@ -527,8 +523,7 @@ def step(
     for start in range(0, swarm, block):
         rows = slice(start, min(start + block, swarm))
         block_draws = draws[: rows.stop - start]
-        for row, rng in zip(block_draws, rngs[rows]):
-            rng.random(out=row)
+        rng.random(out=block_draws)
         guide = gwo_guidance(
             positions[rows], state.alpha, state.beta_wolf, state.delta, a, block_draws, m
         )
@@ -544,23 +539,19 @@ def step(
         positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
         state.velocities[rows] = velocity
 
-    fit = _evaluate_swarm(positions, etc, threshold, config.beta, state.fitness_table)
+    fit = _evaluate_swarm(positions, etc, state.threshold, config.beta, state.fitness_table)
     improved = fit < state.personal_best_fitness
     state.personal_best_positions[improved] = positions[improved]
     state.personal_best_fitness[improved] = fit[improved]
     # delta only falls, so no particle at or above it now can enter the cascade
     for i in np.flatnonzero(fit < state.delta_fitness).tolist():
         _cascade_leaders(state, positions[i], float(fit[i]))
-    # plain left-to-right float sum, as one particle at a time would accumulate it
-    fitness_total = 0.0
-    for value in fit.tolist():
-        fitness_total += value
     state.iteration = t
     log.rows.append(
         IterationStats(
             iteration=t,
             best_fitness=state.alpha_fitness,
-            mean_fitness=fitness_total / swarm,
+            mean_fitness=float(fit.mean()),
             diversity=diversity,
             blend_weight=lam,
             gwo_a=a,
@@ -581,20 +572,18 @@ def run(
 
     The assignment is alpha's mapped plan: alpha is mapped once, after the
     last step, since the mapper gives a position the same plan every time
-    within a run. One root seed drives the whole run, and every particle owns
-    an independent substream. The swarm moves as blocks of matrix rows, but each
-    row draws from its own particle's substream, so the result depends
-    neither on the block size nor on how the rows are grouped.
+    within a run. One generator, seeded with the config's seed, drives the
+    whole run, and every draw takes the swarm's rows in order, so the result
+    does not depend on the block size.
     """
     etc = build_etc(workload, vms)
     cfg = config.resolve(etc)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.swarm_size)
-    rngs = [np.random.default_rng(stream) for stream in streams]
-    state = initialize_swarm(etc, cfg, rngs, seeded_positions)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng, seeded_positions)
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
-    assignment = map_with_loads(state.alpha, etc, capacity_threshold(etc, cfg.headroom_theta))[0]
+        step(state, etc, cfg, rng, log)
+    assignment = map_with_loads(state.alpha, etc, state.threshold)[0]
     return assignment, evaluate_assignment(assignment, etc, cfg.beta), log
 
 

@@ -2,12 +2,13 @@
 
 This is the plain per-particle form of swarmsched.optimizer's run, kept as
 the oracle its matrix form must match bit for bit. Each particle is an object
-with its own arrays and its own generator. A step draws A (3n), C (3n), r1 (n)
-and r2 (n) in that order from the particle's generator, updates the particle,
-maps it and scores it from its loads with the scalar formulas. Nothing here
-calls into the code under test except the pieces both forms share by design:
-the schedules, diversity, mutation strength and load_vector. Positions are
-mapped by the sequential reference mapper, not by the block mapper.
+with its own arrays; all of them draw from the run's one generator, in
+particle order. A step draws a particle's A (3n), C (3n), r1 (n) and r2 (n)
+in that order, updates the particle, maps it and scores it from its loads
+with the scalar formulas. Nothing here calls into the code under test except
+the pieces both forms share by design: the schedules, diversity, mutation
+strength and load_vector. Positions are mapped by the sequential reference
+mapper, not by the block mapper.
 
 The reference keeps its own global best, absorbed particle by particle from
 the personal-best updates, apart from the leader cascade, so that the oracle
@@ -99,8 +100,8 @@ def combined_update(position, gwo_position, blend, velocity, period):
     return _fold(blend * gwo_position + (1.0 - blend) * (position + velocity), period)
 
 
-def inject_mutation(particles, sigma, rngs, period):
-    for particle, rng in zip(particles, rngs):
+def inject_mutation(particles, sigma, rng, period):
+    for particle in particles:
         jolt = rng.normal(0.0, sigma, particle.position.shape[0])
         particle.position = _fold(particle.position + jolt, period)
 
@@ -117,7 +118,7 @@ def _cascade(state, position, fit):
         state.delta, state.delta_fitness = position.copy(), fit
 
 
-def initialize_swarm(etc, config, rngs, seeded_positions=None):
+def initialize_swarm(etc, config, rng, seeded_positions=None):
     n, m = etc.n, etc.m
     seeded = seeded_positions or []
     threshold = capacity_threshold(etc, config.headroom_theta)
@@ -125,7 +126,7 @@ def initialize_swarm(etc, config, rngs, seeded_positions=None):
     best_fit, best_index, best_assignment = math.inf, -1, None
     evaluations = []
     for i in range(config.swarm_size):
-        position = seeded[i].copy() if i < len(seeded) else rngs[i].uniform(0.0, m, n)
+        position = seeded[i].copy() if i < len(seeded) else rng.uniform(0.0, m, n)
         assignment, loads = map_with_loads(position, etc, threshold)
         fit = scalar_report(loads, etc.n, config.beta).fitness
         particles.append(RefParticle(position, np.zeros(n), position.copy(), fit))
@@ -151,21 +152,20 @@ def initialize_swarm(etc, config, rngs, seeded_positions=None):
     return state
 
 
-def step(state, etc, config, rngs, log):
+def step(state, etc, config, rng, log):
     t = state.iteration + 1
     m = etc.m
     threshold = capacity_threshold(etc, config.headroom_theta)
     diversity = swarm_diversity(np.stack([p.position for p in state.particles]))
     mutated = False
     if diversity < config.d_min:
-        inject_mutation(state.particles, mutation_sigma(config, diversity, m), rngs, m)
+        inject_mutation(state.particles, mutation_sigma(config, diversity, m), rng, m)
         mutated = True
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
 
     evaluations = []
-    fitness_total = 0.0
-    for particle, rng in zip(state.particles, rngs):
+    for particle in state.particles:
         guide = gwo_guidance(
             particle.position, state.alpha, state.beta_wolf, state.delta, a, rng, m
         )
@@ -175,7 +175,6 @@ def step(state, etc, config, rngs, log):
         particle.position = position
         assignment, loads = map_with_loads(position, etc, threshold)
         fit = scalar_report(loads, etc.n, config.beta).fitness
-        fitness_total += fit
         evaluations.append((position, fit, assignment))
 
     for particle, (position, fit, assignment) in zip(state.particles, evaluations):
@@ -192,7 +191,7 @@ def step(state, etc, config, rngs, log):
         IterationStats(
             iteration=t,
             best_fitness=state.global_best_fitness,
-            mean_fitness=fitness_total / len(state.particles),
+            mean_fitness=float(np.mean([fit for _, fit, _ in evaluations])),
             diversity=diversity,
             blend_weight=lam,
             gwo_a=a,
@@ -202,18 +201,14 @@ def step(state, etc, config, rngs, log):
     return state
 
 
-def spawn_rngs(seed, count):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 def run(workload, vms, config, *, seeded_positions=None):
     etc = build_etc(workload, vms)
     cfg = config.resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs, seeded_positions)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng, seeded_positions)
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
     report = scalar_report(load_vector(state.global_best_assignment, etc), etc.n, cfg.beta)
     return state.global_best_assignment.copy(), report, log
 

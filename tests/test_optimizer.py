@@ -47,10 +47,6 @@ def scripted_draws(n, a=0.0, c=0.0, r1=0.0, r2=0.0):
     return row[np.newaxis]
 
 
-def spawn_rngs(seed, count):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 # ---------------------------------------------------------------- config
 
 
@@ -341,11 +337,11 @@ def test_mutation_sigma_grows_as_diversity_collapses():
 def test_inject_mutation_moves_positions_only():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=4, seed=5).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     state.velocities[:] = 0.5
     before = state.particles
-    inject_mutation(state.positions, sigma=0.3, rngs=rngs, period=PERIOD)
+    inject_mutation(state.positions, sigma=0.3, rng=rng, period=PERIOD)
     for p, old in zip(state.particles, before):
         assert not np.array_equal(p.position, old.position)
         assert np.all((p.position >= 0.0) & (p.position <= PERIOD))
@@ -355,20 +351,17 @@ def test_inject_mutation_moves_positions_only():
 
 
 def test_inject_mutation_is_deterministic_per_seed():
-    def mutate_once():
-        positions = np.zeros((2, 4))
-        inject_mutation(positions, 0.5, spawn_rngs(9, 2), period=PERIOD)
-        return positions
-
-    first = mutate_once()
-    npt.assert_array_equal(first, mutate_once())
-    # each row draws from its own substream
-    assert not np.array_equal(first[0], first[1])
+    # kicking the rows one by one from one generator equals one (k, n) draw
+    positions = np.full((3, 4), 0.5)
+    inject_mutation(positions, 0.5, np.random.default_rng(9), period=PERIOD)
+    kicked = 0.5 + np.random.default_rng(9).normal(0.0, 0.5, (3, 4))
+    assert np.any(kicked < 0.0)
+    npt.assert_array_equal(positions, kicked - PERIOD * np.floor(kicked / PERIOD))
 
 
 def test_inject_mutation_rejects_nonpositive_sigma():
     with pytest.raises(ValueError, match="sigma"):
-        inject_mutation(np.zeros((1, 1)), 0.0, spawn_rngs(0, 1), period=PERIOD)
+        inject_mutation(np.zeros((1, 1)), 0.0, np.random.default_rng(0), period=PERIOD)
 
 
 # ------------------------------------------------------- swarm lifecycle
@@ -383,9 +376,10 @@ def small_problem(seed=0, n=12, m=3):
 def test_initialize_swarm_population_invariants():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=6, seed=42).resolve(etc)
-    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size))
+    state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed))
 
     threshold = capacity_threshold(etc, cfg.headroom_theta)
+    assert state.threshold == threshold
     fits = []
     for p in state.particles:
         assert p.position.shape == (etc.n,)
@@ -405,7 +399,7 @@ def test_initialize_swarm_population_invariants():
 def test_initialize_swarm_leaders_finite_for_minimal_swarm():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=2, seed=1).resolve(etc)
-    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size))
+    state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed))
     assert math.isfinite(state.beta_fitness)
     assert math.isfinite(state.delta_fitness)
     # the cascade fills beta_wolf from the second row; delta mirrors it
@@ -421,7 +415,7 @@ def test_initialize_swarm_ranks_tied_rows_in_row_order():
     cfg = OptimizerConfig(swarm_size=3, seed=3).resolve(etc)
     plan = np.arange(etc.n) % etc.m
     seeds = [plan + 0.25, plan + 0.5, plan + 0.75]
-    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size), seeds)
+    state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed), seeds)
     assert len(set(state.personal_best_fitness.tolist())) == 1
     for leader, row in zip((state.alpha, state.beta_wolf, state.delta), seeds):
         npt.assert_array_equal(leader, row)
@@ -431,7 +425,7 @@ def test_initialize_swarm_seeded_positions_take_first_slots():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=4, seed=3).resolve(etc)
     seed_pos = np.linspace(0.25, 2.25, etc.n)
-    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size), [seed_pos])
+    state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed), [seed_pos])
     npt.assert_array_equal(state.particles[0].position, seed_pos)
 
 
@@ -469,13 +463,13 @@ def test_initialize_swarm_rejects_too_many_seeds():
     cfg = OptimizerConfig(swarm_size=2, seed=0).resolve(etc)
     seeds = [np.zeros(etc.n)] * 3
     with pytest.raises(ValueError, match="exceed swarm_size"):
-        initialize_swarm(etc, cfg, spawn_rngs(0, 2), seeds)
+        initialize_swarm(etc, cfg, np.random.default_rng(0), seeds)
 
 
 def test_swarm_state_particles_are_copies_of_the_matrices():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=3, seed=4).resolve(etc)
-    state = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, cfg.swarm_size))
+    state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed))
     first = state.particles[0]
     npt.assert_array_equal(first.position, state.positions[0])
     assert first.personal_best_fitness == state.personal_best_fitness[0]
@@ -494,21 +488,21 @@ def test_default_v_max_never_binds_at_800x4():
     bound = (cfg.c1 + cfg.c2) * etc.m / (2.0 * (1.0 - cfg.inertia))
     assert bound == pytest.approx(5 * etc.m)
     assert bound < cfg.v_max == 10 * etc.m
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
         assert np.abs(state.velocities).max() <= bound
 
 
 def test_step_counts_iterations_from_one():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=5, max_iterations=10, seed=7).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
-    step(state, etc, cfg, rngs, log)
+    step(state, etc, cfg, rng, log)
     assert state.iteration == 1
     assert log.rows[0].iteration == 1
     assert log.rows[0].blend_weight == pytest.approx(blend_weight(1, cfg))
@@ -518,12 +512,12 @@ def test_step_counts_iterations_from_one():
 def test_step_keeps_positions_in_the_decode_period_and_elitism_holds():
     workload, fleet, etc = small_problem(seed=5)
     cfg = OptimizerConfig(swarm_size=8, max_iterations=30, seed=11).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
     best_so_far = state.alpha_fitness
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
         assert state.alpha_fitness <= best_so_far + 1e-12
         best_so_far = state.alpha_fitness
         # every move folds into [0, m]; rounding may land exactly on m
@@ -535,11 +529,11 @@ def test_step_keeps_positions_in_the_decode_period_and_elitism_holds():
 def test_step_last_iteration_hits_schedule_endpoints():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=4, max_iterations=5, seed=2).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
     assert log.rows[-1].blend_weight == pytest.approx(cfg.lambda_min)
     assert log.rows[-1].gwo_a == pytest.approx(0.0)
 
@@ -547,11 +541,11 @@ def test_step_last_iteration_hits_schedule_endpoints():
 def test_mutation_fires_when_diversity_floor_is_high():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=5, max_iterations=5, seed=1, d_min=1e9).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
     assert all(row.mutated for row in log.rows)
 
 
@@ -559,11 +553,11 @@ def test_mutation_never_fires_when_disabled():
     # a zero floor disables mutation: diversity is never negative
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=5, max_iterations=5, seed=1, d_min=0.0).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
     assert not any(row.mutated for row in log.rows)
 
 
@@ -652,6 +646,35 @@ def count_mapped_rows(monkeypatch):
     return mapped
 
 
+def test_run_draws_its_initial_swarm_from_one_generator(monkeypatch):
+    initial = []
+
+    def recording(*args, **kwargs):
+        state = initialize_swarm(*args, **kwargs)
+        initial.append(state.positions.copy())
+        return state
+
+    monkeypatch.setattr(optimizer, "initialize_swarm", recording)
+    workload, fleet, etc = small_problem()
+    cfg = OptimizerConfig(swarm_size=6, max_iterations=2, seed=13)
+    run(workload, fleet, cfg)
+    want = np.random.default_rng(cfg.seed).uniform(0.0, etc.m, (cfg.swarm_size, etc.n))
+    npt.assert_array_equal(initial[0], want)
+
+
+def test_run_computes_the_capacity_threshold_once(monkeypatch):
+    calls = [0]
+
+    def counting(etc, theta):
+        calls[0] += 1
+        return capacity_threshold(etc, theta)
+
+    monkeypatch.setattr(optimizer, "capacity_threshold", counting)
+    workload = generate_synthetic(SyntheticSpec(40, seed=3))
+    run(workload, standard_fleet(4), OptimizerConfig(seed=3))
+    assert calls[0] == 1
+
+
 def test_run_maps_each_plan_once_when_the_decode_space_is_small(monkeypatch):
     # 3 ** 8 = 6561 plans: a row whose plan was scored earlier in the run is
     # read from the fitness table, not mapped again
@@ -679,7 +702,7 @@ def test_run_maps_every_row_above_the_table_bound(monkeypatch):
 def test_fitness_table_covers_the_decode_space_up_to_the_bound(n, m, plans):
     workload, fleet, etc = small_problem(n=n, m=m)
     cfg = OptimizerConfig(swarm_size=2, seed=1).resolve(etc)
-    table = initialize_swarm(etc, cfg, spawn_rngs(cfg.seed, 2)).fitness_table
+    table = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed)).fitness_table
     if plans is None:
         assert table is None
     else:
@@ -690,12 +713,12 @@ def test_fitness_table_covers_the_decode_space_up_to_the_bound(n, m, plans):
 def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
     workload, fleet, etc = small_problem(seed=6, n=8, m=3)
     cfg = OptimizerConfig(swarm_size=7, max_iterations=5, seed=2).resolve(etc)
-    rngs = spawn_rngs(cfg.seed, cfg.swarm_size)
-    state = initialize_swarm(etc, cfg, rngs)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
     threshold = capacity_threshold(etc, cfg.headroom_theta)
     for _ in range(cfg.max_iterations):
-        step(state, etc, cfg, rngs, log)
+        step(state, etc, cfg, rng, log)
         for position in state.positions:
             key = int(np.dot(decode_position(position, etc.m), 3 ** np.arange(etc.n)))
             assignment, _ = map_with_loads(position, etc, threshold)

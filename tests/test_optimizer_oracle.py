@@ -107,16 +107,16 @@ def test_matrix_swarm_matches_per_particle_reference(
 
     etc = build_etc(workload, fleet)
     cfg = config.resolve(etc)
-    rngs = ref.spawn_rngs(cfg.seed, swarm)
-    ref_rngs = ref.spawn_rngs(cfg.seed, swarm)
-    state = initialize_swarm(etc, cfg, rngs, seeded)
-    reference = ref.initialize_swarm(etc, cfg, ref_rngs, seeded)
+    rng = np.random.default_rng(cfg.seed)
+    ref_rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng, seeded)
+    reference = ref.initialize_swarm(etc, cfg, ref_rng, seeded)
     threshold = capacity_threshold(etc, cfg.headroom_theta)
     assert_states_equal(state, reference, etc, threshold)
     log, ref_log = ConvergenceLog(), ConvergenceLog()
     for _ in range(steps):
-        step(state, etc, cfg, rngs, log)
-        ref.step(reference, etc, cfg, ref_rngs, ref_log)
+        step(state, etc, cfg, rng, log)
+        ref.step(reference, etc, cfg, ref_rng, ref_log)
         assert_states_equal(state, reference, etc, threshold)
     assert log.rows == ref_log.rows
     if variant != "hybrid":
