@@ -70,7 +70,8 @@ def map_with_loads(
     raw = decode_position(position, m)
     block = np.atleast_2d(raw)  # a view: settling its rows settles raw
     k, n = block.shape
-    costs = etc.entries[np.arange(n), block]
+    # one flat gather: task i's cost on VM j is entry i * m + j
+    costs = np.take(etc.entries, block + m * np.arange(n))
     # bincount adds each weight into its bin in index order, so every total
     # is bit for bit the left-to-right sum the placement loop accumulates
     keys = block + m * np.arange(k)[:, np.newaxis]

@@ -55,18 +55,25 @@ def coefficient_of_variation(loads: Sequence[float] | np.ndarray) -> float | np.
     row and gives one CV per row.
     """
     arr = np.asarray(loads, dtype=float)
-    if arr.shape[-1] == 0:
+    m = arr.shape[-1]
+    if m == 0:
         raise ValueError("undefined CV: no loads")
-    mean = arr.mean(axis=-1)
-    if np.any(mean == 0):
+    # the ufuncs that arr.mean(axis=-1) and arr.std(axis=-1) run, in their
+    # order, without their Python wrappers: bit for bit the same values
+    mean = np.add.reduce(arr, axis=-1, keepdims=True)
+    mean /= m
+    if (mean == 0).any():
         raise ValueError("undefined CV: zero mean load")
-    cv = arr.std(axis=-1) / mean
+    spread = np.subtract(arr, mean)
+    np.multiply(spread, spread, out=spread)
+    std = np.sqrt(np.add.reduce(spread, axis=-1) / m)
+    cv = std / mean[..., 0]
     return float(cv) if arr.ndim == 1 else cv
 
 
 def balance_optimality_index(cv: float | np.ndarray) -> float | np.ndarray:
     """1 / (1 + CV): 1.0 at perfect balance, falling toward 0 with imbalance."""
-    if np.any(cv < 0):
+    if np.less(cv, 0).any():
         raise ValueError(f"cv must be non-negative, got {cv}")
     return 1.0 / (1.0 + cv)
 
@@ -75,9 +82,9 @@ def fitness(
     makespan_s: float | np.ndarray, boi: float | np.ndarray, beta: float
 ) -> float | np.ndarray:
     """Makespan plus the imbalance penalty beta * (1 - BOI); lower is better."""
-    if not np.all(makespan_s > 0):
+    if not np.greater(makespan_s, 0).all():
         raise ValueError(f"makespan_s must be positive, got {makespan_s}")
-    if not np.all((0 < boi) & (boi <= 1)):
+    if not (np.greater(boi, 0) & np.less_equal(boi, 1)).all():
         raise ValueError(f"boi must lie in (0, 1], got {boi}")
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
@@ -103,7 +110,7 @@ def score_loads(
     whole swarm scores in one pass from its (S, m) loads matrix; each row
     gives bit for bit what the same row alone would.
     """
-    makespan_s = np.max(loads, axis=-1)
+    makespan_s = np.maximum.reduce(loads, axis=-1)
     cv = coefficient_of_variation(loads)
     boi = balance_optimality_index(cv)
     return makespan_s, cv, boi, fitness(makespan_s, boi, beta)

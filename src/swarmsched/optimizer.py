@@ -263,10 +263,17 @@ _BLOCK_COORDS = 2**12
 _TABLE_PLANS = 2**16
 
 
-def _wrap_offset(offset: np.ndarray, period: float) -> np.ndarray:
-    """Reduce offsets modulo the period to their shortest form, |d| <= period / 2."""
+def _wrap_offset(offset: np.ndarray, period: float, work: np.ndarray) -> None:
+    """Reduce offsets modulo the period to their shortest form, |d| <= period / 2.
+
+    In place: offset becomes offset - period * rint(offset / period), and
+    work, of offset's shape, is overwritten on the way.
+    """
     # cheaper than np.mod on floats
-    return offset - period * np.rint(offset / period)
+    np.divide(offset, period, out=work)
+    np.rint(work, out=work)
+    work *= period
+    offset -= work
 
 
 def _fold_position(position: np.ndarray, period: float) -> np.ndarray:
@@ -296,12 +303,20 @@ def velocity_update(
     n = positions.shape[1]
     r1 = draws[:, 6 * n : 7 * n]
     r2 = draws[:, 7 * n :]
-    velocity = (
-        config.inertia * velocities
-        + config.c1 * r1 * _wrap_offset(personal_best_positions - positions, period)
-        + config.c2 * r2 * _wrap_offset(global_best - positions, period)
-    )
-    return np.clip(velocity, -config.v_max, config.v_max)
+    # inertia * V + c1 * r1 * wrap(P - X) + c2 * r2 * wrap(G - X), added in
+    # that order; each product is commutative, so the in-place forms are
+    # bit for bit the plain expression
+    velocity = np.multiply(velocities, config.inertia)
+    pull = np.subtract(personal_best_positions, positions)
+    work = np.empty_like(pull)
+    _wrap_offset(pull, period, work)
+    pull *= np.multiply(r1, config.c1, out=work)
+    velocity += pull
+    np.subtract(global_best, positions, out=pull)
+    _wrap_offset(pull, period, work)
+    pull *= np.multiply(r2, config.c2, out=work)
+    velocity += pull
+    return np.clip(velocity, -config.v_max, config.v_max, out=velocity)
 
 
 def gwo_guidance(
@@ -325,12 +340,25 @@ def gwo_guidance(
     if a < 0:
         raise ValueError(f"a must be non-negative, got {a}")
     k, n = positions.shape
-    a_coef = 2.0 * a * draws[:, : 3 * n].reshape(k, 3, n) - a  # in [-a, a]
-    c_coef = 2.0 * draws[:, 3 * n : 6 * n].reshape(k, 3, n)  # in [0, 2]
     leaders = np.stack([alpha, beta_wolf, delta])
-    offset = _wrap_offset(leaders - positions[:, np.newaxis], period)
+    offset = np.subtract(leaders, positions[:, np.newaxis])  # (k, 3, n)
+    work = np.empty_like(offset)
+    _wrap_offset(offset, period, work)
+    # |C * D| with C = 2 * draw in [0, 2], then A * |C * D| with
+    # A = 2a * draw - a in [-a, a]; products commute, so writing them in
+    # place gives the plain expression bit for bit
+    np.multiply(draws[:, 3 * n : 6 * n].reshape(k, 3, n), 2.0, out=work)
+    work *= offset
+    np.abs(work, out=work)
+    a_coef = np.multiply(draws[:, : 3 * n].reshape(k, 3, n), 2.0 * a)
+    a_coef -= a
+    work *= a_coef
+    offset -= work
     # sum / 3 equals mean(axis=1) bit for bit without np.mean's Python overhead
-    return positions + (offset - a_coef * np.abs(c_coef * offset)).sum(axis=1) / 3.0
+    guided = offset.sum(axis=1)
+    guided /= 3.0
+    guided += positions
+    return guided
 
 
 def combined_update(
@@ -506,6 +534,11 @@ def step(
     array expression per update rule. Each block fills its rows of draws from
     rng in row order, so every particle gets the same 8n uniforms whatever the
     block size.
+
+    A blend weight of exactly 0 skips the guidance and the blend, and one of
+    exactly 1 skips the blend: the zero-weighted term adds only a signed
+    zero, which changes no nonzero sum, and the fold maps -0.0 and 0.0 alike
+    to 0.0. The draws are made all the same, so the stream does not move.
     """
     t = state.iteration + 1
     m = etc.m
@@ -524,9 +557,6 @@ def step(
         rows = slice(start, min(start + block, swarm))
         block_draws = draws[: rows.stop - start]
         rng.random(out=block_draws)
-        guide = gwo_guidance(
-            positions[rows], state.alpha, state.beta_wolf, state.delta, a, block_draws, m
-        )
         velocity = velocity_update(
             positions[rows],
             state.velocities[rows],
@@ -536,7 +566,17 @@ def step(
             block_draws,
             m,
         )
-        positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
+        if lam == 0.0:
+            positions[rows] = _fold_position(positions[rows] + velocity, m)
+        else:
+            guide = gwo_guidance(
+                positions[rows], state.alpha, state.beta_wolf, state.delta, a, block_draws, m
+            )
+            positions[rows] = (
+                _fold_position(guide, m)
+                if lam == 1.0
+                else combined_update(positions[rows], guide, lam, velocity, m)
+            )
         state.velocities[rows] = velocity
 
     fit = _evaluate_swarm(positions, etc, state.threshold, config.beta, state.fitness_table)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from swarmsched.domain import build_etc
 from swarmsched.metrics import (
@@ -14,6 +17,7 @@ from swarmsched.metrics import (
     evaluate_assignment,
     fitness,
     load_vector,
+    score_loads,
     throughput,
 )
 
@@ -96,3 +100,60 @@ def test_evaluate_assignment_end_to_end(tiny_etc):
     assert report.cv == pytest.approx(3.0 / 7.0)
     assert report.boi == pytest.approx(0.7)
     assert report.fitness == pytest.approx(0.28375)
+
+
+positive_loads = arrays(
+    np.float64,
+    array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=9),
+    elements=st.floats(1e-6, 1e6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(loads=positive_loads, beta=st.floats(0.0, 1e4))
+def test_load_metrics_equal_numpys_mean_and_std_bit_for_bit(loads, beta):
+    # the formulas as np.mean, np.std and np.max spell them
+    makespan = np.max(loads, axis=-1)
+    cv = loads.std(axis=-1) / loads.mean(axis=-1)
+    boi = 1.0 / (1.0 + cv)
+    fit = makespan + beta * (1.0 - boi)
+
+    got_cv = coefficient_of_variation(loads)
+    got_boi = balance_optimality_index(got_cv)
+    got_fit = fitness(makespan, got_boi, beta)
+    for got, want in ((got_cv, cv), (got_boi, boi), (got_fit, fit)):
+        npt.assert_array_equal(got, want)
+        assert np.shape(got) == np.shape(want)
+    if loads.ndim == 1:
+        assert type(got_cv) is float
+    scored = score_loads(loads, beta)
+    for got, want in zip(scored, (makespan, got_cv, got_boi, got_fit)):
+        npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+def test_load_metrics_keep_their_checks_for_scalars_and_arrays(shape):
+    def spoil(value, bad):
+        """value broadcast to shape, with its last entry replaced by bad."""
+        arr = np.full(shape, value)
+        arr.flat[-1] = bad
+        return arr[()]
+
+    # load vectors are 1-D or rows of a 2-D block
+    loads_shape = shape or (3,)
+    with pytest.raises(ValueError, match="undefined CV: no loads"):
+        coefficient_of_variation(np.ones(loads_shape[:-1] + (0,)))
+    zero_row = np.ones(loads_shape)
+    zero_row.reshape(-1, loads_shape[-1])[-1] = 0.0
+    with pytest.raises(ValueError, match="undefined CV: zero mean load"):
+        coefficient_of_variation(zero_row)
+    with pytest.raises(ValueError, match="cv must be non-negative"):
+        balance_optimality_index(spoil(0.5, -0.1))
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="makespan_s must be positive"):
+            fitness(spoil(2.0, bad), spoil(0.5, 0.5), 1.0)
+    for bad in (0.0, 1.5, -0.2):
+        with pytest.raises(ValueError, match="boi must lie in"):
+            fitness(spoil(2.0, 2.0), spoil(0.5, bad), 1.0)
+    with pytest.raises(ValueError, match="beta must be non-negative"):
+        fitness(spoil(2.0, 2.0), spoil(0.5, 0.5), -1.0)

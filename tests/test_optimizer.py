@@ -634,6 +634,50 @@ def test_hybrid_differs_from_both_ablations():
     assert hybrid_means != [row.mean_fitness for row in gwo_log.rows]
 
 
+UPDATE_RULES = ("gwo_guidance", "velocity_update", "combined_update")
+
+
+def count_update_calls(monkeypatch):
+    """Count each update rule's calls from step, checking that none writes into its inputs."""
+    calls = dict.fromkeys(UPDATE_RULES, 0)
+
+    def counting(name, rule):
+        def counted(*args):
+            arrays = [arg for arg in args if isinstance(arg, np.ndarray)]
+            before = [array.copy() for array in arrays]
+            result = rule(*args)
+            for array, copy in zip(arrays, before):
+                npt.assert_array_equal(array, copy, err_msg=f"{name} wrote into an input")
+            calls[name] += 1
+            return result
+
+        return counted
+
+    for name in UPDATE_RULES:
+        monkeypatch.setattr(optimizer, name, counting(name, getattr(optimizer, name)))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "runner, lambda_min, want",
+    [
+        # 1500 tasks move a swarm of 7 in 4 blocks per step, over 3 steps
+        (run, 0.4, {"gwo_guidance": 12, "velocity_update": 12, "combined_update": 12}),
+        # lambda reaches exactly 0 at the last step, which skips guidance and blend
+        (run, 0.0, {"gwo_guidance": 8, "velocity_update": 12, "combined_update": 8}),
+        (run_pure_pso, 0.4, {"gwo_guidance": 0, "velocity_update": 12, "combined_update": 0}),
+        # velocities are swarm state, so pure GWO still updates them
+        (run_pure_gwo, 0.4, {"gwo_guidance": 12, "velocity_update": 12, "combined_update": 0}),
+    ],
+)
+def test_step_skips_the_update_terms_its_blend_weight_zeroes(monkeypatch, runner, lambda_min, want):
+    calls = count_update_calls(monkeypatch)
+    workload = generate_synthetic(SyntheticSpec(1500, seed=3))
+    cfg = OptimizerConfig(swarm_size=7, max_iterations=3, lambda_min=lambda_min, seed=3)
+    runner(workload, standard_fleet(3), cfg)
+    assert calls == want
+
+
 def count_mapped_rows(monkeypatch):
     """Count the positions the optimizer sends through map_with_loads."""
     mapped = [0]

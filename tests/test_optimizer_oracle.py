@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,43 @@ def assert_states_equal(state, reference, etc, threshold):
     assert state.iteration == reference.iteration
 
 
+def assert_runs_equal(got, want):
+    npt.assert_array_equal(got[0], want[0])
+    assert got[1] == want[1]
+    assert got[2].rows == want[2].rows
+
+
+def assert_steps_match_reference(workload, fleet, config, seeded):
+    """Step both forms through the run from one seed, comparing after every step."""
+    etc = build_etc(workload, fleet)
+    cfg = config.resolve(etc)
+    rng = np.random.default_rng(cfg.seed)
+    ref_rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng, seeded)
+    reference = ref.initialize_swarm(etc, cfg, ref_rng, seeded)
+    threshold = capacity_threshold(etc, cfg.headroom_theta)
+    assert_states_equal(state, reference, etc, threshold)
+    log, ref_log = ConvergenceLog(), ConvergenceLog()
+    for _ in range(cfg.max_iterations):
+        step(state, etc, cfg, rng, log)
+        ref.step(reference, etc, cfg, ref_rng, ref_log)
+        assert_states_equal(state, reference, etc, threshold)
+    assert log.rows == ref_log.rows
+    return log
+
+
+@pytest.mark.parametrize("n, m, seed", [(MULTI_BLOCK_N, 4, 21), (8, 3, 22), (30, 4, 23)])
+def test_hybrid_whose_blend_reaches_zero_matches_reference(n, m, seed):
+    # lambda_min = 0 makes the last step's blend exactly 0: that step skips
+    # guidance and blend inside a hybrid run
+    rng = np.random.default_rng(seed)
+    workload, fleet = random_instance(rng, n=n, m=m)
+    config = OptimizerConfig(swarm_size=7, max_iterations=3, lambda_min=0.0, seed=seed)
+    log = assert_steps_match_reference(workload, fleet, config, None)
+    assert log.rows[-1].blend_weight == 0.0
+    assert_runs_equal(run(workload, fleet, config), ref.run(workload, fleet, config))
+
+
 def test_oracle_multi_block_case_ends_in_a_partial_block():
     block = max(1, optimizer._BLOCK_COORDS // MULTI_BLOCK_N)
     assert 1 < block < 7 and 7 % block != 0
@@ -72,6 +110,12 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
          forced_mutation=False, edge_seed=False, seed=1)
 @example(n=8, m=3, swarm=3, steps=4, seeds=2, variant="hybrid",
          forced_mutation=True, edge_seed=False, seed=2)
+# the ablations skip the term their blend weight zeroes, over several
+# blocks and a partial last block
+@example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=0, variant="pso",
+         forced_mutation=False, edge_seed=False, seed=12)
+@example(n=MULTI_BLOCK_N, m=3, swarm=7, steps=3, seeds=0, variant="gwo",
+         forced_mutation=False, edge_seed=False, seed=13)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="pso",
          forced_mutation=False, edge_seed=False, seed=3)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="gwo",
@@ -105,20 +149,7 @@ def test_matrix_swarm_matches_per_particle_reference(
         seeded[0][::2] = 0.0
         seeded[0][1::2] = np.nextafter(m, 0.0)
 
-    etc = build_etc(workload, fleet)
-    cfg = config.resolve(etc)
-    rng = np.random.default_rng(cfg.seed)
-    ref_rng = np.random.default_rng(cfg.seed)
-    state = initialize_swarm(etc, cfg, rng, seeded)
-    reference = ref.initialize_swarm(etc, cfg, ref_rng, seeded)
-    threshold = capacity_threshold(etc, cfg.headroom_theta)
-    assert_states_equal(state, reference, etc, threshold)
-    log, ref_log = ConvergenceLog(), ConvergenceLog()
-    for _ in range(steps):
-        step(state, etc, cfg, rng, log)
-        ref.step(reference, etc, cfg, ref_rng, ref_log)
-        assert_states_equal(state, reference, etc, threshold)
-    assert log.rows == ref_log.rows
+    log = assert_steps_match_reference(workload, fleet, config, seeded)
     if variant != "hybrid":
         assert not any(row.mutated for row in log.rows)
     elif forced_mutation:
@@ -129,7 +160,4 @@ def test_matrix_swarm_matches_per_particle_reference(
     else:
         got = {"pso": run_pure_pso, "gwo": run_pure_gwo}[variant](workload, fleet, config)
         seeded = None
-    want = ref.run(workload, fleet, config, seeded_positions=seeded)
-    npt.assert_array_equal(got[0], want[0])
-    assert got[1] == want[1]
-    assert got[2].rows == want[2].rows
+    assert_runs_equal(got, ref.run(workload, fleet, config, seeded_positions=seeded))
