@@ -16,10 +16,12 @@ every new position folds back into [0, m). Plain differences, and an
 encircling distance measured from the origin, would instead pull coordinates
 toward the middle of the period and decodes toward the middle VMs.
 
-The swarm lives in (S, n) matrices, one row per particle. A step moves it in
-blocks of rows with one array expression per update rule, maps the same
-blocks of rows with one mapper call each, and scores the whole swarm from
-its (S, m) loads matrix in one pass.
+The swarm lives in (S, n) matrices, one row per particle, and the leaders
+alpha, beta and delta in the rows of one (3, n) table. A step moves the
+swarm in blocks of rows with one array expression per update rule, maps the
+same blocks of rows with one mapper call each, scores the whole swarm from
+its (S, m) loads matrix in one pass, and ranks the leaders anew with one
+stable sort of the old leaders and the rows that beat delta.
 
 A converged swarm keeps proposing plans it has already scored. So when the
 decode space is small, m ** n <= 2 ** 16 plans (8 tasks on 3 VMs have 3 ** 8
@@ -156,8 +158,10 @@ class SwarmState:
 
     Row i of positions, velocities and personal_best_positions, each (S, n),
     and entry i of personal_best_fitness, (S,), belong to particle i.
-    alpha, beta_wolf and delta are the three lowest-fitness positions
-    evaluated so far, maintained by the classic cascade, so alpha is the
+    The rows of leaders, (3, n), are alpha, beta and delta: the three
+    lowest-fitness positions evaluated so far, with their fitnesses in
+    leader_fitness, (3,), in ascending order. Ties keep evaluation order:
+    earlier leaders first, then lower rows. So leaders[0], alpha, is the
     global best, and the velocity rule pulls toward it. threshold is the
     mapper's capacity threshold, fixed for the run. fitness_table, when the
     decode space is small enough to have one, holds the fitness of every plan
@@ -169,14 +173,10 @@ class SwarmState:
     velocities: np.ndarray
     personal_best_positions: np.ndarray
     personal_best_fitness: np.ndarray
-    alpha: np.ndarray
-    beta_wolf: np.ndarray
-    delta: np.ndarray
+    leaders: np.ndarray
+    leader_fitness: np.ndarray
     threshold: float
     fitness_table: np.ndarray | None
-    alpha_fitness: float = math.inf
-    beta_fitness: float = math.inf
-    delta_fitness: float = math.inf
     iteration: int = 0
 
     @property
@@ -321,9 +321,7 @@ def velocity_update(
 
 def gwo_guidance(
     positions: np.ndarray,
-    alpha: np.ndarray,
-    beta_wolf: np.ndarray,
-    delta: np.ndarray,
+    leaders: np.ndarray,
     a: float,
     draws: np.ndarray,
     period: float,
@@ -331,7 +329,8 @@ def gwo_guidance(
     """Mean of the three leader-guided points, fresh draws per leader and component.
 
     Rows are particles: positions is (k, n) and draws is (k, 8n), whose first
-    3n columns give A and next 3n give C, leader by leader. With D the
+    3n columns give A and next 3n give C, leader by leader. The rows of
+    leaders, (3, n), are alpha, beta and delta. With D the
     leader's offset from the position, wrapped modulo the decode period, each
     guided point is position + D - A * |C * D|: the encircling rule
     L - A * |C * L - X| measured from the position rather than from the
@@ -340,7 +339,6 @@ def gwo_guidance(
     if a < 0:
         raise ValueError(f"a must be non-negative, got {a}")
     k, n = positions.shape
-    leaders = np.stack([alpha, beta_wolf, delta])
     offset = np.subtract(leaders, positions[:, np.newaxis])  # (k, 3, n)
     work = np.empty_like(offset)
     _wrap_offset(offset, period, work)
@@ -407,21 +405,6 @@ def inject_mutation(
     # by about 3 MB at 5000 tasks, and mutation is too rare to gain from them
     for row in positions:
         row[:] = _fold_position(row + rng.normal(0.0, sigma, row.shape[0]), period)
-
-
-def _cascade_leaders(state: SwarmState, position: np.ndarray, fit: float) -> None:
-    # Classic top-three cascade over every evaluation ever made: pushing each
-    # candidate through keeps exactly the three lowest fitnesses seen, with
-    # fitness(alpha) <= fitness(beta_wolf) <= fitness(delta) at all times.
-    if fit < state.alpha_fitness:
-        state.delta, state.delta_fitness = state.beta_wolf, state.beta_fitness
-        state.beta_wolf, state.beta_fitness = state.alpha, state.alpha_fitness
-        state.alpha, state.alpha_fitness = position.copy(), fit
-    elif fit < state.beta_fitness:
-        state.delta, state.delta_fitness = state.beta_wolf, state.beta_fitness
-        state.beta_wolf, state.beta_fitness = position.copy(), fit
-    elif fit < state.delta_fitness:
-        state.delta, state.delta_fitness = position.copy(), fit
 
 
 def _fitness_table(n: int, m: int) -> np.ndarray | None:
@@ -499,24 +482,18 @@ def initialize_swarm(
     positions = np.vstack([*seeded, rng.uniform(0.0, m, (config.swarm_size - len(seeded), n))])
     table = _fitness_table(n, m)
     fit = _evaluate_swarm(positions, etc, threshold, config.beta, table)
-    best = int(np.argmin(fit))
-    state = SwarmState(
+    # the three lowest rows, ties in row order; a pack of two repeats beta as delta
+    top = np.argsort(fit, kind="stable")[np.minimum(np.arange(3), config.swarm_size - 1)]
+    return SwarmState(
         positions=positions,
         velocities=np.zeros_like(positions),
         personal_best_positions=positions.copy(),
         personal_best_fitness=fit,
-        alpha=positions[best].copy(),
-        beta_wolf=positions[best].copy(),
-        delta=positions[best].copy(),
+        leaders=positions[top],
+        leader_fitness=fit[top],
         threshold=threshold,
         fitness_table=table,
     )
-    for position, value in zip(positions, fit.tolist()):
-        _cascade_leaders(state, position, value)
-    # swarm_size >= 2 fills beta_wolf; packs of two start with delta mirroring it
-    if not math.isfinite(state.delta_fitness):
-        state.delta, state.delta_fitness = state.beta_wolf.copy(), state.beta_fitness
-    return state
 
 
 def step(
@@ -529,11 +506,14 @@ def step(
     """Advance one iteration: diversity check and mutation, then the swarm move.
 
     Synchronous scheme: the leaders are frozen while every particle moves and
-    is evaluated, then personal bests and the leader cascade absorb the new
-    evaluations in particle order. The move runs over blocks of rows, one
-    array expression per update rule. Each block fills its rows of draws from
-    rng in row order, so every particle gets the same 8n uniforms whatever the
-    block size.
+    is evaluated, then personal bests and the leaders absorb the new
+    evaluations. The new leaders are the first three of a stable sort by
+    fitness of the old leaders, then the rows in row order: the classic
+    cascade, which pushes each row through and promotes only a strictly
+    lower fitness, keeps the same three. The move runs over blocks of rows,
+    one array expression per update rule. Each block fills its rows of draws
+    from rng in row order, so every particle gets the same 8n uniforms
+    whatever the block size.
 
     A blend weight of exactly 0 skips the guidance and the blend, and one of
     exactly 1 skips the blend: the zero-weighted term adds only a signed
@@ -561,7 +541,7 @@ def step(
             positions[rows],
             state.velocities[rows],
             state.personal_best_positions[rows],
-            state.alpha,
+            state.leaders[0],
             config,
             block_draws,
             m,
@@ -569,9 +549,7 @@ def step(
         if lam == 0.0:
             positions[rows] = _fold_position(positions[rows] + velocity, m)
         else:
-            guide = gwo_guidance(
-                positions[rows], state.alpha, state.beta_wolf, state.delta, a, block_draws, m
-            )
+            guide = gwo_guidance(positions[rows], state.leaders, a, block_draws, m)
             positions[rows] = (
                 _fold_position(guide, m)
                 if lam == 1.0
@@ -583,14 +561,19 @@ def step(
     improved = fit < state.personal_best_fitness
     state.personal_best_positions[improved] = positions[improved]
     state.personal_best_fitness[improved] = fit[improved]
-    # delta only falls, so no particle at or above it now can enter the cascade
-    for i in np.flatnonzero(fit < state.delta_fitness).tolist():
-        _cascade_leaders(state, positions[i], float(fit[i]))
+    # delta only falls, so no row at or above it now can become a leader
+    entrants = np.flatnonzero(fit < state.leader_fitness[2])
+    if entrants.size:
+        pool = np.concatenate([state.leader_fitness, fit[entrants]])
+        # stable: the default sort may rank tied fitnesses in any order
+        top = np.argsort(pool, kind="stable")[:3]
+        state.leaders = np.concatenate([state.leaders, positions[entrants]])[top]
+        state.leader_fitness = pool[top]
     state.iteration = t
     log.rows.append(
         IterationStats(
             iteration=t,
-            best_fitness=state.alpha_fitness,
+            best_fitness=float(state.leader_fitness[0]),
             mean_fitness=float(fit.mean()),
             diversity=diversity,
             blend_weight=lam,
@@ -610,11 +593,11 @@ def run(
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
     """Optimize a placement; returns (assignment, metrics, per-iteration log).
 
-    The assignment is alpha's mapped plan: alpha is mapped once, after the
-    last step, since the mapper gives a position the same plan every time
-    within a run. One generator, seeded with the config's seed, drives the
-    whole run, and every draw takes the swarm's rows in order, so the result
-    does not depend on the block size.
+    The assignment is alpha's mapped plan: alpha, row 0 of the leader table,
+    is mapped once, after the last step, since the mapper gives a position
+    the same plan every time within a run. One generator, seeded with the
+    config's seed, drives the whole run, and every draw takes the swarm's
+    rows in order, so the result does not depend on the block size.
     """
     etc = build_etc(workload, vms)
     cfg = config.resolve(etc)
@@ -623,7 +606,7 @@ def run(
     log = ConvergenceLog()
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rng, log)
-    assignment = map_with_loads(state.alpha, etc, state.threshold)[0]
+    assignment = map_with_loads(state.leaders[0], etc, state.threshold)[0]
     return assignment, evaluate_assignment(assignment, etc, cfg.beta), log
 
 

@@ -9,7 +9,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference_optimizer as ref
 from swarmsched import optimizer
 from swarmsched.domain import build_etc
 from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
@@ -164,14 +167,16 @@ def test_velocity_update_keeps_inertia_only_when_pulls_vanish():
     npt.assert_allclose(out, [[1.4, 1.4]])
 
 
+# alpha, beta and delta of a one-coordinate pack, one leader per row
+LEADERS = np.array([[4.0], [2.0], [0.0]])
+
+
 def test_gwo_guidance_full_step_lands_on_origin():
     # a=1 with A draws of 1 gives A=1; C draws of 0.5 give C=1; X=0 so each
     # leader maps to 0
     out = gwo_guidance(
         np.array([[0.0]]),
-        np.array([4.0]),
-        np.array([2.0]),
-        np.array([0.0]),
+        LEADERS,
         a=1.0,
         draws=scripted_draws(1, a=1.0, c=0.5),
         period=PERIOD,
@@ -182,9 +187,7 @@ def test_gwo_guidance_full_step_lands_on_origin():
 def test_gwo_guidance_zero_a_is_leader_centroid():
     out = gwo_guidance(
         np.array([[7.0]]),
-        np.array([4.0]),
-        np.array([2.0]),
-        np.array([0.0]),
+        LEADERS,
         a=0.0,
         draws=scripted_draws(1, a=0.123, c=0.456),
         period=PERIOD,
@@ -196,9 +199,7 @@ def test_gwo_guidance_fixed_point_at_converged_leaders():
     x = np.array([3.0, -1.0])
     out = gwo_guidance(
         x[np.newaxis],
-        x.copy(),
-        x.copy(),
-        x.copy(),
+        np.stack([x, x, x]),
         a=1.7,
         draws=scripted_draws(2, a=0.3, c=0.5),
         period=PERIOD,
@@ -214,9 +215,7 @@ def test_gwo_guidance_draw_order_is_a_then_c():
     # x + D + 2|D| over D = 3, 1, -1: 16/3.
     out = gwo_guidance(
         np.array([[1.0]]),
-        np.array([4.0]),
-        np.array([2.0]),
-        np.array([0.0]),
+        LEADERS,
         a=1.0,
         draws=scripted_draws(1, a=1.0, c=0.0),
         period=PERIOD,
@@ -237,11 +236,11 @@ def test_gwo_guidance_consumes_exactly_two_draws():
     n = 3
     cfg = OptimizerConfig(v_max=10.0)
     positions = np.zeros((1, n))
-    leaders = (np.ones(n), np.full(n, 2.0), np.full(n, 3.0))
+    leaders = np.array([np.ones(n), np.full(n, 2.0), np.full(n, 3.0)])
     base = scripted_draws(n, a=0.3, c=0.3, r1=0.3, r2=0.3)
 
     def guide(draws):
-        return gwo_guidance(positions, *leaders, a=1.0, draws=draws, period=PERIOD)
+        return gwo_guidance(positions, leaders, a=1.0, draws=draws, period=PERIOD)
 
     def velocity(draws):
         return velocity_update(
@@ -257,9 +256,7 @@ def test_gwo_guidance_consumes_exactly_two_draws():
 
 def test_gwo_guidance_rejects_negative_a():
     with pytest.raises(ValueError, match="non-negative"):
-        gwo_guidance(
-            np.zeros((1, 1)), np.ones(1), np.ones(1), np.ones(1), -0.1, scripted_draws(1), PERIOD
-        )
+        gwo_guidance(np.zeros((1, 1)), np.ones((3, 1)), -0.1, scripted_draws(1), PERIOD)
 
 
 def test_combined_update_blends_and_boxes():
@@ -296,12 +293,12 @@ def test_one_update_keeps_uniform_decodes_uniform():
     # period instead: pure guidance at a = 0 then decodes 0.08/0.44/0.42/0.07.
     m, n = 4, 4000
     rng = np.random.default_rng(2026)
-    position, pbest, gbest, alpha, beta_wolf, delta = rng.uniform(0.0, m, (6, n))
+    position, pbest, gbest, *leaders = rng.uniform(0.0, m, (6, n))
     position, pbest = position[np.newaxis], pbest[np.newaxis]
     proposals = {}
     for a in (0.0, 1.0, 2.0):
         draws = rng.random((1, DRAWS_PER_COORD * n))
-        guide = gwo_guidance(position, alpha, beta_wolf, delta, a, draws, m)
+        guide = gwo_guidance(position, np.stack(leaders), a, draws, m)
         proposals[f"guidance at a={a}"] = combined_update(position, guide, 1.0, np.zeros(n), m)
     config = OptimizerConfig(v_max=10.0 * m)
     draws = rng.random((1, DRAWS_PER_COORD * n))
@@ -391,8 +388,9 @@ def test_initialize_swarm_population_invariants():
         assert p.personal_best_fitness == pytest.approx(report.fitness)
         fits.append(report.fitness)
 
-    assert state.alpha_fitness <= state.beta_fitness <= state.delta_fitness
-    assert state.alpha_fitness == pytest.approx(min(fits))
+    alpha_fitness, beta_fitness, delta_fitness = state.leader_fitness
+    assert alpha_fitness <= beta_fitness <= delta_fitness
+    assert alpha_fitness == pytest.approx(min(fits))
     assert state.iteration == 0
 
 
@@ -400,25 +398,71 @@ def test_initialize_swarm_leaders_finite_for_minimal_swarm():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=2, seed=1).resolve(etc)
     state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed))
-    assert math.isfinite(state.beta_fitness)
-    assert math.isfinite(state.delta_fitness)
-    # the cascade fills beta_wolf from the second row; delta mirrors it
-    assert state.beta_fitness == state.personal_best_fitness.max()
-    npt.assert_array_equal(state.delta, state.beta_wolf)
-    assert state.delta_fitness == state.beta_fitness
+    assert np.all(np.isfinite(state.leader_fitness))
+    # beta is the second row by fitness; delta mirrors it
+    assert state.leader_fitness[1] == state.personal_best_fitness.max()
+    npt.assert_array_equal(state.leaders[2], state.leaders[1])
+    assert state.leader_fitness[2] == state.leader_fitness[1]
 
 
 def test_initialize_swarm_ranks_tied_rows_in_row_order():
-    # positions that decode to one plan tie on fitness; the cascade only
-    # promotes a strictly lower fitness, so earlier rows lead
+    # positions that decode to one plan tie on fitness; the leaders rank
+    # ties in row order, so earlier rows lead
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=3, seed=3).resolve(etc)
     plan = np.arange(etc.n) % etc.m
     seeds = [plan + 0.25, plan + 0.5, plan + 0.75]
     state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed), seeds)
     assert len(set(state.personal_best_fitness.tolist())) == 1
-    for leader, row in zip((state.alpha, state.beta_wolf, state.delta), seeds):
-        npt.assert_array_equal(leader, row)
+    npt.assert_array_equal(state.leaders, np.stack(seeds))
+
+
+# Rounds of scripted fitnesses, one per row: the initial swarm's, then one per
+# step. Round r's values come from {-r, 1 - r, 2 - r}, so rows tie with each
+# other and with the leaders, and each round can still beat the last.
+SCRIPTED_ROUNDS = st.integers(2, 40).flatmap(
+    lambda swarm: st.lists(
+        st.lists(st.integers(0, 2), min_size=swarm, max_size=swarm), min_size=1, max_size=5
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCRIPTED_ROUNDS)
+@example([[1, 0]])
+@example([[2, 2], [2, 2], [0, 1]])
+def test_leader_merge_equals_the_reference_cascade(rounds):
+    # The optimizer ranks its leaders with one stable sort; the reference
+    # pushes each evaluated row through the classic cascade. With the
+    # fitness scripted, both keep the same rows and fitnesses, bit for bit,
+    # after every round, including a pack of two's initial delta = beta.
+    workload, fleet, etc = small_problem(n=4, m=2)
+    cfg = OptimizerConfig(swarm_size=len(rounds[0]), seed=8).resolve(etc)
+    fitness = [np.array(values, dtype=float) - r for r, values in enumerate(rounds)]
+    scripted = iter(fitness)
+    rng = np.random.default_rng(cfg.seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer, "_evaluate_swarm", lambda *args: next(scripted).copy())
+        for r, fit in enumerate(fitness):
+            if r == 0:
+                state = initialize_swarm(etc, cfg, rng)
+                # the reference's starting pack: every leader unset at fitness inf
+                unset = state.positions[0].copy()
+                pack = ref.RefState([], unset, math.inf, None, unset, unset, unset)
+            else:
+                step(state, etc, cfg, rng, ConvergenceLog())
+            for position, value in zip(state.positions, fit.tolist()):
+                ref._cascade(pack, position, value)
+            if not math.isfinite(pack.delta_fitness):
+                pack.delta, pack.delta_fitness = pack.beta_wolf.copy(), pack.beta_fitness
+            npt.assert_array_equal(
+                state.leaders, np.stack([pack.alpha, pack.beta_wolf, pack.delta])
+            )
+            assert state.leader_fitness.tolist() == [
+                pack.alpha_fitness,
+                pack.beta_fitness,
+                pack.delta_fitness,
+            ]
 
 
 def test_initialize_swarm_seeded_positions_take_first_slots():
@@ -515,11 +559,11 @@ def test_step_keeps_positions_in_the_decode_period_and_elitism_holds():
     rng = np.random.default_rng(cfg.seed)
     state = initialize_swarm(etc, cfg, rng)
     log = ConvergenceLog()
-    best_so_far = state.alpha_fitness
+    best_so_far = state.leader_fitness[0]
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rng, log)
-        assert state.alpha_fitness <= best_so_far + 1e-12
-        best_so_far = state.alpha_fitness
+        assert state.leader_fitness[0] <= best_so_far + 1e-12
+        best_so_far = state.leader_fitness[0]
         # every move folds into [0, m]; rounding may land exactly on m
         assert np.all((state.positions >= 0.0) & (state.positions <= etc.m))
     series = log.best_fitness_series()
@@ -767,8 +811,8 @@ def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
             key = int(np.dot(decode_position(position, etc.m), 3 ** np.arange(etc.n)))
             assignment, _ = map_with_loads(position, etc, threshold)
             assert state.fitness_table[key] == evaluate_assignment(assignment, etc, cfg.beta).fitness
-        alpha_plan, _ = map_with_loads(state.alpha, etc, threshold)
-        assert evaluate_assignment(alpha_plan, etc, cfg.beta).fitness == state.alpha_fitness
+        alpha_plan, _ = map_with_loads(state.leaders[0], etc, threshold)
+        assert evaluate_assignment(alpha_plan, etc, cfg.beta).fitness == state.leader_fitness[0]
 
 
 def test_convergence_log_csv_round_trip():

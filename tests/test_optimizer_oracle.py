@@ -38,15 +38,21 @@ def assert_states_equal(state, reference, etc, threshold):
     )
     assert state.personal_best_fitness.tolist() == [p.personal_best_fitness for p in particles]
     # alpha is the optimizer's only global best; the reference keeps its own
-    npt.assert_array_equal(state.alpha, reference.global_best_position)
+    npt.assert_array_equal(state.leaders[0], reference.global_best_position)
     # the optimizer keeps no plan, but alpha's mapped plan is the reference's
     npt.assert_array_equal(
-        map_with_loads(state.alpha, etc, threshold)[0], reference.global_best_assignment
+        map_with_loads(state.leaders[0], etc, threshold)[0], reference.global_best_assignment
     )
-    assert state.alpha_fitness == reference.global_best_fitness
-    for leader, fit in (("alpha", "alpha"), ("beta_wolf", "beta"), ("delta", "delta")):
-        npt.assert_array_equal(getattr(state, leader), getattr(reference, leader))
-        assert getattr(state, f"{fit}_fitness") == getattr(reference, f"{fit}_fitness")
+    assert state.leader_fitness[0] == reference.global_best_fitness
+    # the merged leader table is the reference's cascade, row by row
+    npt.assert_array_equal(
+        state.leaders, np.stack([reference.alpha, reference.beta_wolf, reference.delta])
+    )
+    assert state.leader_fitness.tolist() == [
+        reference.alpha_fitness,
+        reference.beta_fitness,
+        reference.delta_fitness,
+    ]
     assert state.iteration == reference.iteration
 
 
