@@ -19,7 +19,6 @@ from .harness import (
     SyntheticSource,
     TraceSource,
     TTestResult,
-    overall_score,
     paired_t_test,
     run_experiment,
     run_scheduler,
@@ -123,6 +122,5 @@ __all__ = [
     "PairwiseComparison",
     "run_experiment",
     "run_scheduler",
-    "overall_score",
     "paired_t_test",
 ]

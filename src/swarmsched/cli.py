@@ -302,10 +302,9 @@ def cmd_bench(settings: dict) -> int:
 
     for name in plan.schedulers:
         agg = result.aggregates[name]
-        score = "-" if agg.overall_score is None else f"{agg.overall_score:.3f}"
         print(
             f"{name}: makespan_s mean={agg.makespan_s.mean:.4f} "
-            f"median={agg.makespan_s.median:.4f} cv mean={agg.cv.mean:.4f} score={score}"
+            f"median={agg.makespan_s.median:.4f} cv mean={agg.cv.mean:.4f}"
         )
     print(f"wrote {out_dir}")
     return 0

@@ -19,7 +19,7 @@ from .baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
 from .domain import VmSpec, Workload, build_etc
 from .metrics import MetricsReport, evaluate_assignment
 from .optimizer import ConvergenceLog, OptimizerConfig, run, run_pure_gwo, run_pure_pso
-from .workload import SyntheticSpec, generate_synthetic, ingest_trace
+from .workload import DEFAULT_SCALE_MI_PER_CORE_S, SyntheticSpec, generate_synthetic, ingest_trace
 
 __all__ = [
     "ALGORITHMS",
@@ -39,7 +39,6 @@ __all__ = [
     "workload_seed",
     "replicate_workloads",
     "run_experiment",
-    "overall_score",
     "paired_t_test",
     "write_raw_csv",
     "write_aggregates_json",
@@ -72,7 +71,7 @@ class TraceSource:
 
     path: str
     limit: int = 800
-    scale_mi_per_core_s: float = 1000.0
+    scale_mi_per_core_s: float = DEFAULT_SCALE_MI_PER_CORE_S
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ class AggregateResult:
     cv: MetricStats
     boi: MetricStats
     wall_ms_mean: float
-    overall_score: float | None
 
 
 @dataclass(frozen=True)
@@ -142,7 +140,6 @@ class TTestResult:
     t_statistic: float
     degrees_of_freedom: int
     p_value: float
-    significant_at_005: bool
 
 
 @dataclass(frozen=True)
@@ -302,13 +299,6 @@ def _aggregate(
         # population std: with one replicate the spread is identically zero
         return MetricStats(float(values.mean()), float(values.std()), float(np.median(values)))
 
-    scores: dict[str, float | None] = {name: None for name in plan.schedulers}
-    if len(plan.schedulers) >= 2:
-        means = {
-            name: {metric: float(per_metric[metric][name].mean()) for metric in TTEST_METRICS}
-            for name in plan.schedulers
-        }
-        scores = dict(overall_score(means))
     return {
         name: AggregateResult(
             makespan_s=stats(per_metric["makespan_s"][name]),
@@ -316,7 +306,6 @@ def _aggregate(
             cv=stats(per_metric["cv"][name]),
             boi=stats(per_metric["boi"][name]),
             wall_ms_mean=float(per_metric["wall_ms"][name].mean()),
-            overall_score=scores[name],
         )
         for name in plan.schedulers
     }
@@ -343,37 +332,6 @@ def _compare_all_pairs(
                     )
                 )
     return comparisons
-
-
-# Metrics where larger values are better; all others count inverted.
-_HIGHER_IS_BETTER = frozenset({"throughput_tps"})
-
-
-def overall_score(metrics_by_scheduler: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
-    """Composite [0, 1] score: the mean of the min-max normalized TTEST_METRICS.
-
-    Each metric is normalized across schedulers and oriented so that the best
-    value counts 1.0 and the worst 0.0; a degenerate metric (all schedulers
-    equal) counts 1.0 for every scheduler. Dominating every metric scores
-    1.0 and being dominated scores 0.0; affine rescaling of any single metric
-    across all schedulers changes nothing.
-    """
-    names = list(metrics_by_scheduler)
-    if len(names) < 2:
-        raise ValueError("normalization undefined: need at least two schedulers")
-    weight = 1.0 / len(TTEST_METRICS)
-    scores = {name: 0.0 for name in names}
-    for metric in TTEST_METRICS:
-        values = {name: float(metrics_by_scheduler[name][metric]) for name in names}
-        lo, hi = min(values.values()), max(values.values())
-        for name in names:
-            if hi == lo:
-                oriented = 1.0
-            else:
-                norm = (values[name] - lo) / (hi - lo)
-                oriented = norm if metric in _HIGHER_IS_BETTER else 1.0 - norm
-            scores[name] += weight * oriented
-    return scores
 
 
 def paired_t_test(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> TTestResult:
@@ -404,12 +362,7 @@ def paired_t_test(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarr
     else:
         t_stat = mean / (sd / math.sqrt(n))
         p_value = float(betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat)))
-    return TTestResult(
-        t_statistic=t_stat,
-        degrees_of_freedom=df,
-        p_value=p_value,
-        significant_at_005=p_value < 0.05,
-    )
+    return TTestResult(t_statistic=t_stat, degrees_of_freedom=df, p_value=p_value)
 
 
 def write_raw_csv(records: Sequence[RunRecord], fh: IO[str]) -> None:
@@ -441,11 +394,7 @@ def ttests_payload(result: ExperimentResult) -> dict:
         row = asdict(comparison)
         row.update(row.pop("ttest"))
         comparisons.append(_jsonable(row))
-    return {
-        "metrics": list(TTEST_METRICS),
-        "significance_level": 0.05,
-        "comparisons": comparisons,
-    }
+    return {"metrics": list(TTEST_METRICS), "comparisons": comparisons}
 
 
 def write_aggregates_json(result: ExperimentResult, fh: IO[str]) -> None:

@@ -13,9 +13,12 @@ from swarmsched.harness import (
     AggregateResult,
     ExperimentPlan,
     MetricStats,
+    PairwiseComparison,
     SyntheticSource,
+    TTestResult,
     run_experiment,
     write_aggregates_json,
+    write_ttests_json,
 )
 from swarmsched.optimizer import ConvergenceLog, OptimizerConfig
 from swarmsched.workload import standard_fleet
@@ -59,4 +62,23 @@ def test_aggregates_json_keys_are_the_aggregate_fields_the_readme_lists():
                 assert set(value) == set(stats)
     paragraph = _file_format("aggregates.json")
     for name in names + stats:
+        assert f"`{name}`" in paragraph, name
+
+
+def test_ttests_json_keys_are_the_comparison_fields_the_readme_lists():
+    plan = ExperimentPlan(SyntheticSource(n=6), standard_fleet(2), ("rr", "minmin"), replicates=2,
+                          config=OptimizerConfig(swarm_size=2, max_iterations=1))
+    buffer = io.StringIO()
+    write_ttests_json(run_experiment(plan), buffer)
+    payload = json.loads(buffer.getvalue())
+    top = ["metrics", "comparisons"]
+    # each comparison is a PairwiseComparison with its TTestResult flattened in
+    names = [field.name for field in fields(PairwiseComparison) if field.name != "ttest"]
+    names += [field.name for field in fields(TTestResult)]
+    assert set(payload) == set(top)
+    assert payload["comparisons"]
+    for entry in payload["comparisons"]:
+        assert set(entry) == set(names)
+    paragraph = _file_format("ttests.json")
+    for name in top + names:
         assert f"`{name}`" in paragraph, name

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -22,7 +22,6 @@ from swarmsched.harness import (
     TTEST_METRICS,
     TraceSource,
     aggregates_payload,
-    overall_score,
     paired_t_test,
     run_experiment,
     run_scheduler,
@@ -224,11 +223,34 @@ def test_single_replicate_has_zero_spread_and_no_ttests():
         assert agg.makespan_s.std == 0.0
 
 
-def test_single_scheduler_has_no_score_or_comparisons():
+def test_single_scheduler_has_no_comparisons():
     plan = small_plan(schedulers=("rr",))
     result = run_experiment(plan)
     assert result.comparisons == ()
-    assert result.aggregates["rr"].overall_score is None
+
+
+def test_aggregates_do_not_depend_on_the_other_schedulers_in_the_plan():
+    # the pinned synthetic case: a scheduler's aggregate is a fact about its
+    # own runs, so dropping four schedulers from the plan must not move it
+    def aggregates(schedulers):
+        plan = ExperimentPlan(
+            workload_source=SyntheticSource(n=12),
+            fleet=standard_fleet(3),
+            schedulers=schedulers,
+            replicates=3,
+            root_seed=11,
+            config=OptimizerConfig(swarm_size=4, max_iterations=5),
+        )
+        result = run_experiment(plan)
+        return {
+            name: {key: value for key, value in asdict(agg).items() if key != "wall_ms_mean"}
+            for name, agg in result.aggregates.items()
+        }
+
+    every = aggregates(ALGORITHMS)
+    subset = aggregates(("hybrid", "pso", "gwo"))
+    for name in ("hybrid", "pso", "gwo"):
+        assert subset[name] == every[name], name
 
 
 def test_comparisons_cover_all_pairs_and_metrics():
@@ -252,69 +274,6 @@ def test_convergence_logs_only_for_population_schedulers():
     plan = small_plan(schedulers=("hybrid", "rr"), replicates=2)
     result = run_experiment(plan)
     assert set(result.convergence) == {("hybrid", 0), ("hybrid", 1)}
-
-
-# ------------------------------------------------------------ overall score
-
-
-def test_overall_score_hand_table():
-    metrics = {
-        "fast": {"makespan_s": 10.0, "throughput_tps": 100.0, "cv": 0.1},
-        "slow": {"makespan_s": 20.0, "throughput_tps": 50.0, "cv": 0.3},
-        "mid": {"makespan_s": 15.0, "throughput_tps": 75.0, "cv": 0.2},
-    }
-    scores = overall_score(metrics)
-    assert scores["fast"] == pytest.approx(1.0)
-    assert scores["slow"] == pytest.approx(0.0)
-    assert scores["mid"] == pytest.approx(0.5)
-
-
-def test_overall_score_orients_throughput_upward():
-    # tied makespan and CV give everyone 2/3; throughput adds its third upward
-    metrics = {
-        "a": {"makespan_s": 10.0, "throughput_tps": 100.0, "cv": 0.2},
-        "b": {"makespan_s": 10.0, "throughput_tps": 75.0, "cv": 0.2},
-        "c": {"makespan_s": 10.0, "throughput_tps": 50.0, "cv": 0.2},
-    }
-    scores = overall_score(metrics)
-    assert scores["a"] == pytest.approx(1.0)
-    assert scores["b"] == pytest.approx(5.0 / 6.0)
-    assert scores["c"] == pytest.approx(2.0 / 3.0)
-
-
-def test_overall_score_affine_invariance():
-    base = {
-        "x": {"makespan_s": 10.0, "throughput_tps": 100.0, "cv": 0.1},
-        "y": {"makespan_s": 14.0, "throughput_tps": 60.0, "cv": 0.25},
-        "z": {"makespan_s": 19.0, "throughput_tps": 85.0, "cv": 0.12},
-    }
-    rescaled = {
-        name: {
-            "makespan_s": 3.0 * vals["makespan_s"] + 7.0,
-            "throughput_tps": 0.5 * vals["throughput_tps"] - 2.0,
-            "cv": 10.0 * vals["cv"],
-        }
-        for name, vals in base.items()
-    }
-    for name, score in overall_score(base).items():
-        assert overall_score(rescaled)[name] == pytest.approx(score)
-
-
-def test_overall_score_degenerate_metric_counts_fully_for_everyone():
-    metrics = {
-        "a": {"makespan_s": 10.0, "throughput_tps": 5.0, "cv": 0.2},
-        "b": {"makespan_s": 10.0, "throughput_tps": 4.0, "cv": 0.2},
-    }
-    scores = overall_score(metrics)
-    # makespan and cv are ties worth full weight; throughput separates them
-    assert scores["a"] == pytest.approx(1.0)
-    assert scores["b"] == pytest.approx(2.0 / 3.0)
-
-
-def test_overall_score_validation():
-    one = {"only": {"makespan_s": 1.0, "throughput_tps": 1.0, "cv": 0.1}}
-    with pytest.raises(ValueError, match="at least two"):
-        overall_score(one)
 
 
 # ------------------------------------------------------------ paired t-test
@@ -346,14 +305,12 @@ def test_paired_t_test_degenerate_identical_samples():
     result = paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     assert result.t_statistic == 0.0
     assert result.p_value == 1.0
-    assert not result.significant_at_005
 
 
 def test_paired_t_test_degenerate_constant_offset():
     result = paired_t_test([2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
     assert result.t_statistic == math.inf
     assert result.p_value == 0.0
-    assert result.significant_at_005
     negated = paired_t_test([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
     assert negated.t_statistic == -math.inf
 
@@ -365,11 +322,11 @@ def test_paired_t_test_validation():
         paired_t_test([1.0], [2.0])
 
 
-def test_significance_flag_thresholds_at_005():
+def test_clearly_shifted_samples_have_a_small_p_value():
     rng = np.random.default_rng(2)
     a = rng.normal(0.0, 1.0, 20)
     clearly_shifted = paired_t_test(a + 5.0, a + rng.normal(0, 0.1, 20))
-    assert clearly_shifted.significant_at_005
+    assert clearly_shifted.p_value < 0.05
 
 
 # ------------------------------------------------------------ file formats
@@ -407,7 +364,6 @@ def test_json_payloads_serialize_and_round_trip():
 
     ttests = json.loads(ttest_buffer.getvalue())
     assert ttests["metrics"] == list(TTEST_METRICS)
-    assert ttests["significance_level"] == 0.05
     assert len(ttests["comparisons"]) == len(result.comparisons)
 
 
