@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import IO, ClassVar, Sequence
 
 import numpy as np
+from numpy.random import PCG64, PCG64DXSM
 from scipy.spatial.distance import pdist
 
 from .domain import EtcMatrix, VmSpec, Workload, build_etc
@@ -157,7 +158,9 @@ class SwarmState:
     """Mutable population state; one optimizer run owns exactly one.
 
     Row i of positions, velocities and personal_best_positions, each (S, n),
-    and entry i of personal_best_fitness, (S,), belong to particle i.
+    and entry i of personal_best_fitness, (S,), belong to particle i. A pure
+    GWO run (lambda_min = 1) never reads a velocity, so its velocities stay
+    zero.
     The rows of leaders, (3, n), are alpha, beta and delta: the three
     lowest-fitness positions evaluated so far, with their fitnesses in
     leader_fitness, (3,), in ascending order. Ties keep evaluation order:
@@ -257,6 +260,15 @@ DRAWS_PER_COORD = 8
 # Blocks of 2**14 coordinates had every such temporary mapped and faulted in
 # afresh, about 34k minor page faults per run at 800x4 and 50k at 5000x8.
 _BLOCK_COORDS = 2**12
+
+# Fewest unread draws per row for which a step skips them with the bit
+# generator's advance rather than filling them. Filling only a row's read
+# columns costs one more random call and one advance per row, about 1.3 us
+# together, against about 2.8 ns per double not filled: break-even near 460
+# draws, and the bound leaves twice that for the row loop and slower hosts.
+# Pure PSO leaves 6n unread and pure GWO 2n, so both skip at 800 tasks, and
+# a swarm of 20 at 8 tasks keeps its one call per block.
+_SKIP_DRAWS = 1024
 
 # Largest decode space, in plans (m ** n), that a run keeps a fitness table
 # for: 512 KiB of float64.
@@ -407,6 +419,25 @@ def inject_mutation(
         row[:] = _fold_position(row + rng.normal(0.0, sigma, row.shape[0]), period)
 
 
+def _fill_draws(rng: np.random.Generator, draws: np.ndarray, read: slice) -> None:
+    """Fill the read columns of each row of draws, leaving rng where a full fill would.
+
+    Row by row, the columns before read are skipped with the bit generator's
+    advance, the read ones filled, and the columns after read skipped, so
+    every value read equals the one rng.random(out=draws) puts there. Only
+    PCG64 and PCG64DXSM advance by exactly one step per double, and only
+    with no 32-bit half pending, which advance would discard.
+    """
+    advance = rng.bit_generator.advance
+    before, after = read.start, draws.shape[1] - read.stop
+    for row in draws:
+        if before:
+            advance(before)
+        rng.random(out=row[read])
+        if after:
+            advance(after)
+
+
 def _fitness_table(n: int, m: int) -> np.ndarray | None:
     """One NaN entry per plan if the decode space has at most _TABLE_PLANS plans."""
     # m ** 17 exceeds the bound for every m >= 2, and 1 ** n is 1
@@ -515,10 +546,16 @@ def step(
     from rng in row order, so every particle gets the same 8n uniforms
     whatever the block size.
 
-    A blend weight of exactly 0 skips the guidance and the blend, and one of
-    exactly 1 skips the blend: the zero-weighted term adds only a signed
-    zero, which changes no nonzero sum, and the fold maps -0.0 and 0.0 alike
-    to 0.0. The draws are made all the same, so the stream does not move.
+    A blend weight of exactly 0 skips the guidance and the blend: the
+    zero-weighted term adds only a signed zero, which changes no nonzero
+    sum, and the fold maps -0.0 and 0.0 alike to 0.0. Pure GWO
+    (lambda_min = 1) skips the blend the same way, and the velocity update
+    too, since no step of its run reads a velocity. Draws a step does not
+    read, the first 6n of a row at weight 0 and the last 2n in pure GWO, are
+    skipped with the bit generator's advance when a row leaves at least
+    _SKIP_DRAWS of them unread and rng runs on PCG64 or PCG64DXSM. Either
+    way rng ends where filling all 8n per row leaves it, so the stream does
+    not move.
     """
     t = state.iteration + 1
     m = etc.m
@@ -530,13 +567,32 @@ def step(
         inject_mutation(positions, mutation_sigma(config, diversity, m), rng, m)
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
+    # lambda_min, not lam: a lambda_min just below 1 can round lam to 1.0,
+    # and later steps still read the velocities
+    pure_gwo = config.lambda_min == 1.0
+    width = DRAWS_PER_COORD * n
+    # the columns of each row's draws that the update rules read
+    read = slice(6 * n, width) if lam == 0.0 else slice(0, 6 * n if pure_gwo else width)
+    bit_generator = rng.bit_generator
+    skip_unread = (
+        width - (read.stop - read.start) >= _SKIP_DRAWS
+        and isinstance(bit_generator, (PCG64, PCG64DXSM))
+        and not bit_generator.state["has_uint32"]
+    )
 
     block = max(1, _BLOCK_COORDS // n)
-    draws = np.empty((min(block, swarm), DRAWS_PER_COORD * n))
+    draws = np.empty((min(block, swarm), width))
     for start in range(0, swarm, block):
         rows = slice(start, min(start + block, swarm))
         block_draws = draws[: rows.stop - start]
-        rng.random(out=block_draws)
+        if skip_unread:
+            _fill_draws(rng, block_draws, read)
+        else:
+            rng.random(out=block_draws)
+        if pure_gwo:
+            guide = gwo_guidance(positions[rows], state.leaders, a, block_draws, m)
+            positions[rows] = _fold_position(guide, m)
+            continue
         velocity = velocity_update(
             positions[rows],
             state.velocities[rows],
@@ -550,11 +606,7 @@ def step(
             positions[rows] = _fold_position(positions[rows] + velocity, m)
         else:
             guide = gwo_guidance(positions[rows], state.leaders, a, block_draws, m)
-            positions[rows] = (
-                _fold_position(guide, m)
-                if lam == 1.0
-                else combined_update(positions[rows], guide, lam, velocity, m)
-            )
+            positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
         state.velocities[rows] = velocity
 
     fit = _evaluate_swarm(positions, etc, state.threshold, config.beta, state.fitness_table)
@@ -620,5 +672,8 @@ def run_pure_pso(
 def run_pure_gwo(
     workload: Workload, vms: Sequence[VmSpec], config: OptimizerConfig
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
-    """Guidance-only ablation: blend pinned to 1, mutation off."""
+    """Guidance-only ablation: blend pinned to 1, mutation off.
+
+    The velocity rule never runs, so the swarm's velocities stay zero.
+    """
     return run(workload, vms, replace(config, lambda_max=1.0, lambda_min=1.0, d_min=0.0))

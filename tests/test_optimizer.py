@@ -710,8 +710,7 @@ def count_update_calls(monkeypatch):
         # lambda reaches exactly 0 at the last step, which skips guidance and blend
         (run, 0.0, {"gwo_guidance": 8, "velocity_update": 12, "combined_update": 8}),
         (run_pure_pso, 0.4, {"gwo_guidance": 0, "velocity_update": 12, "combined_update": 0}),
-        # velocities are swarm state, so pure GWO still updates them
-        (run_pure_gwo, 0.4, {"gwo_guidance": 12, "velocity_update": 12, "combined_update": 0}),
+        (run_pure_gwo, 0.4, {"gwo_guidance": 12, "velocity_update": 0, "combined_update": 0}),
     ],
 )
 def test_step_skips_the_update_terms_its_blend_weight_zeroes(monkeypatch, runner, lambda_min, want):
@@ -720,6 +719,120 @@ def test_step_skips_the_update_terms_its_blend_weight_zeroes(monkeypatch, runner
     cfg = OptimizerConfig(swarm_size=7, max_iterations=3, lambda_min=lambda_min, seed=3)
     runner(workload, standard_fleet(3), cfg)
     assert calls == want
+
+
+# blend weights of the three kinds of step: hybrid, pure PSO and pure GWO
+STEP_KINDS = {"hybrid": None, "pso": 0.0, "gwo": 1.0}
+
+
+def kind_config(kind, **kwargs):
+    config = OptimizerConfig(**kwargs)
+    weight = STEP_KINDS[kind]
+    return config if weight is None else ref.pin_pure(config, weight)
+
+
+def pending_half(bit_generator):
+    """A PCG64 generator holding the unused 32-bit half of its last output."""
+    rng = np.random.Generator(bit_generator)
+    rng.integers(0, 2, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+BIT_GENERATORS = {
+    "pcg64": lambda seed: np.random.Generator(np.random.PCG64(seed)),
+    "pcg64dxsm": lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+    # advance is not draw-exact on Philox, and MT19937 has no advance
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    # advance would drop the pending half
+    "pcg64-pending-half": lambda seed: pending_half(np.random.PCG64(seed)),
+}
+
+
+@pytest.mark.parametrize("make_rng", BIT_GENERATORS.values(), ids=BIT_GENERATORS.keys())
+@pytest.mark.parametrize("kind", STEP_KINDS)
+# pure PSO leaves 6n draws of a row unread and pure GWO 2n: at 1500 tasks
+# both are above _SKIP_DRAWS, at 8 both below
+@pytest.mark.parametrize("n", [8, 1500])
+def test_step_moves_as_a_full_fill_of_the_draws_would(monkeypatch, make_rng, kind, n):
+    workload, fleet = random_instance(np.random.default_rng(n), n=n, m=3)
+    etc = build_etc(workload, fleet)
+    cfg = kind_config(kind, swarm_size=5, max_iterations=2, seed=9).resolve(etc)
+
+    def two_steps(skip_draws):
+        monkeypatch.setattr(optimizer, "_SKIP_DRAWS", skip_draws)
+        rng = make_rng(cfg.seed)
+        state = initialize_swarm(etc, cfg, rng)
+        log = ConvergenceLog()
+        for _ in range(cfg.max_iterations):
+            step(state, etc, cfg, rng, log)
+        return state, log, rng.bit_generator.state
+
+    state, log, end = two_steps(optimizer._SKIP_DRAWS)
+    # no row leaves this many draws unread: every block is one full fill
+    want, want_log, want_end = two_steps(2**62)
+    for name in ("positions", "velocities", "personal_best_positions",
+                 "personal_best_fitness", "leaders", "leader_fitness"):
+        npt.assert_array_equal(getattr(state, name), getattr(want, name), err_msg=name)
+    assert log.rows == want_log.rows
+    npt.assert_equal(end, want_end)
+
+
+class CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its advance calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.advances = 0
+
+    def advance(self, delta):
+        self.advances += 1
+        return super().advance(delta)
+
+
+class CountingGenerator:
+    """A Generator on a CountingPCG64 that also counts its random calls."""
+
+    def __init__(self, seed):
+        self.bit_generator = CountingPCG64(seed)
+        self._rng = np.random.Generator(self.bit_generator)
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize(
+    "n, kind, want_random, want_advance",
+    [
+        # 8x3 with a swarm of 20 is one block of 20 rows, filled with one
+        # call, since no row leaves _SKIP_DRAWS draws unread
+        (8, "hybrid", 1, 0),
+        (8, "pso", 1, 0),
+        (8, "gwo", 1, 0),
+        # 1500 tasks move a swarm of 7 in 4 blocks; the ablations fill each
+        # row's read columns and advance over the rest
+        (1500, "hybrid", 4, 0),
+        (1500, "pso", 7, 7),
+        (1500, "gwo", 7, 7),
+    ],
+)
+def test_step_counts_of_random_and_advance_calls(n, kind, want_random, want_advance):
+    workload, fleet = random_instance(np.random.default_rng(n), n=n, m=3)
+    etc = build_etc(workload, fleet)
+    swarm = 20 if n == 8 else 7
+    cfg = kind_config(kind, swarm_size=swarm, max_iterations=3, d_min=0.0, seed=5).resolve(etc)
+    rng = CountingGenerator(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
+    for t in range(1, cfg.max_iterations + 1):
+        step(state, etc, cfg, rng, ConvergenceLog())
+        assert rng.random_calls == t * want_random
+        assert rng.bit_generator.advances == t * want_advance
 
 
 def count_mapped_rows(monkeypatch):

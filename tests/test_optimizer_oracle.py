@@ -29,10 +29,15 @@ MULTI_BLOCK_N = 1500
 VARIANT_WEIGHT = {"pso": 0.0, "gwo": 1.0}
 
 
-def assert_states_equal(state, reference, etc, threshold):
+def assert_states_equal(state, reference, etc, threshold, config):
     particles = reference.particles
     npt.assert_array_equal(state.positions, np.stack([p.position for p in particles]))
-    npt.assert_array_equal(state.velocities, np.stack([p.velocity for p in particles]))
+    if config.lambda_min == 1.0:
+        # pure GWO never reads a velocity, so it never updates one; the
+        # reference still does
+        assert not state.velocities.any()
+    else:
+        npt.assert_array_equal(state.velocities, np.stack([p.velocity for p in particles]))
     npt.assert_array_equal(
         state.personal_best_positions, np.stack([p.personal_best_position for p in particles])
     )
@@ -71,12 +76,12 @@ def assert_steps_match_reference(workload, fleet, config, seeded):
     state = initialize_swarm(etc, cfg, rng, seeded)
     reference = ref.initialize_swarm(etc, cfg, ref_rng, seeded)
     threshold = capacity_threshold(etc, cfg.headroom_theta)
-    assert_states_equal(state, reference, etc, threshold)
+    assert_states_equal(state, reference, etc, threshold, cfg)
     log, ref_log = ConvergenceLog(), ConvergenceLog()
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rng, log)
         ref.step(reference, etc, cfg, ref_rng, ref_log)
-        assert_states_equal(state, reference, etc, threshold)
+        assert_states_equal(state, reference, etc, threshold, cfg)
     assert log.rows == ref_log.rows
     return log
 
@@ -91,6 +96,26 @@ def test_hybrid_whose_blend_reaches_zero_matches_reference(n, m, seed):
     log = assert_steps_match_reference(workload, fleet, config, None)
     assert log.rows[-1].blend_weight == 0.0
     assert_runs_equal(run(workload, fleet, config), ref.run(workload, fleet, config))
+
+
+@pytest.mark.parametrize("n, m, seed", [(MULTI_BLOCK_N, 4, 24), (30, 4, 25)])
+def test_hybrid_whose_blend_rounds_to_one_matches_reference(n, m, seed):
+    # lambda_min one ulp below 1 rounds the early steps' blend to exactly 1,
+    # yet the last step blends in the velocities those steps updated
+    rng = np.random.default_rng(seed)
+    workload, fleet = random_instance(rng, n=n, m=m)
+    config = OptimizerConfig(
+        swarm_size=7, max_iterations=4, lambda_max=1.0, lambda_min=np.nextafter(1.0, 0.0),
+        d_min=0.0, seed=seed,
+    )
+    log = assert_steps_match_reference(workload, fleet, config, None)
+    assert log.rows[0].blend_weight == 1.0 and log.rows[-1].blend_weight < 1.0
+    assert_runs_equal(run(workload, fleet, config), ref.run(workload, fleet, config))
+
+
+def test_oracle_ablation_cases_straddle_the_skip_threshold():
+    # pure GWO leaves 2n of a row's draws unread and pure PSO 6n
+    assert 2 * MULTI_BLOCK_N >= optimizer._SKIP_DRAWS > 6 * 30
 
 
 def test_oracle_multi_block_case_ends_in_a_partial_block():
@@ -117,7 +142,9 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
 @example(n=8, m=3, swarm=3, steps=4, seeds=2, variant="hybrid",
          forced_mutation=True, edge_seed=False, seed=2)
 # the ablations skip the term their blend weight zeroes, over several
-# blocks and a partial last block
+# blocks and a partial last block; at n = 1500 their rows leave more than
+# _SKIP_DRAWS draws unread, which are skipped, and at n <= 30 fewer, which
+# are filled
 @example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=0, variant="pso",
          forced_mutation=False, edge_seed=False, seed=12)
 @example(n=MULTI_BLOCK_N, m=3, swarm=7, steps=3, seeds=0, variant="gwo",
@@ -126,6 +153,8 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
          forced_mutation=False, edge_seed=False, seed=3)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="gwo",
          forced_mutation=False, edge_seed=False, seed=4)
+@example(n=8, m=3, swarm=20, steps=3, seeds=0, variant="gwo",
+         forced_mutation=False, edge_seed=False, seed=14)
 # both sides of the fitness-table bound, m ** n <= 2 ** 16: the largest
 # tabulated spaces (2 ** 16 and 4 ** 8 plans) and the smallest space above it
 @example(n=16, m=2, swarm=20, steps=4, seeds=2, variant="hybrid",
