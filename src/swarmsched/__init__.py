@@ -59,7 +59,7 @@ from .workload import (
     standard_fleet,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "__version__",

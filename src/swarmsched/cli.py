@@ -54,7 +54,7 @@ _KNOB_KINDS: dict[str, type] = {
 # The knobs whose flag is not the dashed field name, and the knobs' help.
 _KNOB_FLAGS = {"swarm_size": "--swarm", "max_iterations": "--iterations", "headroom_theta": "--theta"}
 _KNOB_HELP = {
-    "headroom_theta": "capacity headroom multiplier (default 1.2)",
+    "headroom_theta": "capacity headroom multiplier",
     "d_min": "diversity floor below which the swarm is mutated; 0 switches mutation off",
 }
 
@@ -84,6 +84,11 @@ DEFAULTS: dict = {
 _CONFIG_KEYS = frozenset(DEFAULTS)
 
 
+def _help(text: str, key: str) -> str:
+    """A flag's help text, if any, ending in the key's default from DEFAULTS."""
+    return f"{text} (default {DEFAULTS[key]:g})".lstrip()
+
+
 class UsageError(Exception):
     """Bad invocation: reported like an argparse error, exit code 2."""
 
@@ -100,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule.add_argument("--algo", required=True, choices=ALGORITHMS)
     _add_workload_flags(schedule)
     _add_optimizer_flags(schedule)
-    schedule.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+    schedule.add_argument("--seed", type=int, default=None, help=_help("root seed", "seed"))
     schedule.add_argument("--config", default=None, help="JSON config file (flat keys)")
     schedule.add_argument(
         "--convergence-csv",
@@ -118,42 +123,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_flags(bench)
     _add_optimizer_flags(bench)
-    bench.add_argument("--replicates", type=int, default=None, help="runs per scheduler (default 30)")
-    bench.add_argument("--seed", type=int, default=None, help="root seed (default 0)")
+    bench.add_argument("--replicates", type=int, default=None,
+                       help=_help("runs per scheduler", "replicates"))
+    bench.add_argument("--seed", type=int, default=None, help=_help("root seed", "seed"))
     bench.add_argument(
         "--out",
         default=None,
-        help=f"output directory (default ${OUTPUT_DIR_ENV} or ./swarmsched-out)",
+        help=f"output directory; if unset, ${OUTPUT_DIR_ENV} or else ./swarmsched-out",
     )
-    bench.add_argument("--jobs", type=int, default=None, help="max parallel workers (default 1)")
+    bench.add_argument("--jobs", type=int, default=None,
+                       help=_help("max parallel workers", "jobs"))
     bench.add_argument("--config", default=None, help="JSON config file or a previous manifest")
 
     trace = sub.add_parser("trace", help="inspect or re-export a trace CSV")
     trace.add_argument("--input", required=True, help="trace CSV path")
-    trace.add_argument("--limit", type=int, default=None, help="records to ingest (default 800)")
+    trace.add_argument("--limit", type=int, default=None,
+                       help=_help("records to ingest", "limit"))
     trace.add_argument("--scale", dest="scale_mi_per_core_s", type=float, default=None,
-                       help="MI per core-second (default 1000)")
+                       help=_help("MI per core-second", "scale_mi_per_core_s"))
     trace.add_argument("--export", default=None, help="write the ingested workload back as CSV")
     return parser
 
 
 def _add_workload_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tasks", type=int, default=None, help="synthetic task count (default 800)")
-    sub.add_argument("--vms", type=int, default=None, help="fleet size (default 4)")
+    sub.add_argument("--tasks", type=int, default=None,
+                     help=_help("synthetic task count", "tasks"))
+    sub.add_argument("--vms", type=int, default=None, help=_help("fleet size", "vms"))
     sub.add_argument("--min-length", dest="min_length_mi", type=float, default=None,
-                     help="synthetic minimum length in MI (default 100)")
+                     help=_help("synthetic minimum length in MI", "min_length_mi"))
     sub.add_argument("--max-length", dest="max_length_mi", type=float, default=None,
-                     help="synthetic maximum length in MI (default 1000)")
+                     help=_help("synthetic maximum length in MI", "max_length_mi"))
     sub.add_argument("--trace", default=None, help="use a trace CSV instead of synthetic tasks")
-    sub.add_argument("--limit", type=int, default=None, help="trace records to ingest (default 800)")
+    sub.add_argument("--limit", type=int, default=None,
+                     help=_help("trace records to ingest", "limit"))
     sub.add_argument("--scale", dest="scale_mi_per_core_s", type=float, default=None,
-                     help="MI per core-second of trace work (default 1000)")
+                     help=_help("MI per core-second of trace work", "scale_mi_per_core_s"))
 
 
 def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
     for name, kind in _KNOB_KINDS.items():
         flag = _KNOB_FLAGS.get(name, "--" + name.replace("_", "-"))
-        sub.add_argument(flag, dest=name, type=kind, default=None, help=_KNOB_HELP.get(name))
+        text = _KNOB_HELP.get(name, "")
+        if DEFAULTS[name] is not None:  # the others resolve per problem
+            text = _help(text, name)
+        sub.add_argument(flag, dest=name, type=kind, default=None, help=text or None)
 
 
 def _load_config_file(path: str) -> dict:

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, fields, replace
 from typing import IO, ClassVar, Sequence
 
 import numpy as np
-from numpy.random import PCG64, PCG64DXSM
 from scipy.spatial.distance import pdist
 
 from .domain import EtcMatrix, VmSpec, Workload, build_etc
@@ -249,26 +248,12 @@ def gwo_coefficient_a(t: int, config: OptimizerConfig) -> float:
     return 2.0 * (1.0 - t / config.max_iterations)
 
 
-# Uniform draws per coordinate that one particle makes in one step. Its row
-# of draws is laid out in stream order: the guidance coefficients A (3n,
-# leader by leader), then C (3n), then the velocity pulls r1 (n) and r2 (n).
-DRAWS_PER_COORD = 8
-
 # Coordinates per array pass of a step. A block's largest temporaries are
 # (k, 3, n) float64, 24 bytes per coordinate: 96 KiB here, under glibc
 # malloc's default 128 KiB mmap threshold, so they are reused heap memory.
 # Blocks of 2**14 coordinates had every such temporary mapped and faulted in
 # afresh, about 34k minor page faults per run at 800x4 and 50k at 5000x8.
 _BLOCK_COORDS = 2**12
-
-# Fewest unread draws per row for which a step skips them with the bit
-# generator's advance rather than filling them. Filling only a row's read
-# columns costs one more random call and one advance per row, about 1.3 us
-# together, against about 2.8 ns per double not filled: break-even near 460
-# draws, and the bound leaves twice that for the row loop and slower hosts.
-# Pure PSO leaves 6n unread and pure GWO 2n, so both skip at 800 tasks, and
-# a swarm of 20 at 8 tasks keeps its one call per block.
-_SKIP_DRAWS = 1024
 
 # Largest decode space, in plans (m ** n), that a run keeps a fitness table
 # for: 512 KiB of float64.
@@ -309,12 +294,12 @@ def velocity_update(
     """Inertia plus stochastic pulls toward personal and global bests, clamped.
 
     Rows are particles: positions, velocities and personal bests are (k, n),
-    draws is (k, 8n) and the pulls r1, r2 are its last 2n columns. Each pull
-    follows the attractor's offset wrapped modulo the decode period.
+    and draws is (k, 2n), the pulls r1 then r2. Each pull follows the
+    attractor's offset wrapped modulo the decode period.
     """
     n = positions.shape[1]
-    r1 = draws[:, 6 * n : 7 * n]
-    r2 = draws[:, 7 * n :]
+    r1 = draws[:, :n]
+    r2 = draws[:, n:]
     # inertia * V + c1 * r1 * wrap(P - X) + c2 * r2 * wrap(G - X), added in
     # that order; each product is commutative, so the in-place forms are
     # bit for bit the plain expression
@@ -340,8 +325,8 @@ def gwo_guidance(
 ) -> np.ndarray:
     """Mean of the three leader-guided points, fresh draws per leader and component.
 
-    Rows are particles: positions is (k, n) and draws is (k, 8n), whose first
-    3n columns give A and next 3n give C, leader by leader. The rows of
+    Rows are particles: positions is (k, n) and draws is (k, 6n), whose first
+    3n columns give A and last 3n give C, leader by leader. The rows of
     leaders, (3, n), are alpha, beta and delta. With D the
     leader's offset from the position, wrapped modulo the decode period, each
     guided point is position + D - A * |C * D|: the encircling rule
@@ -357,7 +342,7 @@ def gwo_guidance(
     # |C * D| with C = 2 * draw in [0, 2], then A * |C * D| with
     # A = 2a * draw - a in [-a, a]; products commute, so writing them in
     # place gives the plain expression bit for bit
-    np.multiply(draws[:, 3 * n : 6 * n].reshape(k, 3, n), 2.0, out=work)
+    np.multiply(draws[:, 3 * n :].reshape(k, 3, n), 2.0, out=work)
     work *= offset
     np.abs(work, out=work)
     a_coef = np.multiply(draws[:, : 3 * n].reshape(k, 3, n), 2.0 * a)
@@ -417,25 +402,6 @@ def inject_mutation(
     # by about 3 MB at 5000 tasks, and mutation is too rare to gain from them
     for row in positions:
         row[:] = _fold_position(row + rng.normal(0.0, sigma, row.shape[0]), period)
-
-
-def _fill_draws(rng: np.random.Generator, draws: np.ndarray, read: slice) -> None:
-    """Fill the read columns of each row of draws, leaving rng where a full fill would.
-
-    Row by row, the columns before read are skipped with the bit generator's
-    advance, the read ones filled, and the columns after read skipped, so
-    every value read equals the one rng.random(out=draws) puts there. Only
-    PCG64 and PCG64DXSM advance by exactly one step per double, and only
-    with no 32-bit half pending, which advance would discard.
-    """
-    advance = rng.bit_generator.advance
-    before, after = read.start, draws.shape[1] - read.stop
-    for row in draws:
-        if before:
-            advance(before)
-        rng.random(out=row[read])
-        if after:
-            advance(after)
 
 
 def _fitness_table(n: int, m: int) -> np.ndarray | None:
@@ -542,20 +508,17 @@ def step(
     fitness of the old leaders, then the rows in row order: the classic
     cascade, which pushes each row through and promotes only a strictly
     lower fitness, keeps the same three. The move runs over blocks of rows,
-    one array expression per update rule. Each block fills its rows of draws
-    from rng in row order, so every particle gets the same 8n uniforms
-    whatever the block size.
+    one array expression per update rule.
 
-    A blend weight of exactly 0 skips the guidance and the blend: the
-    zero-weighted term adds only a signed zero, which changes no nonzero
-    sum, and the fold maps -0.0 and 0.0 alike to 0.0. Pure GWO
-    (lambda_min = 1) skips the blend the same way, and the velocity update
-    too, since no step of its run reads a velocity. Draws a step does not
-    read, the first 6n of a row at weight 0 and the last 2n in pure GWO, are
-    skipped with the bit generator's advance when a row leaves at least
-    _SKIP_DRAWS of them unread and rng runs on PCG64 or PCG64DXSM. Either
-    way rng ends where filling all 8n per row leaves it, so the stream does
-    not move.
+    The config fixes which rules a run uses, and so its draws. Pure PSO
+    (lambda_max = 0) only updates velocities and moves by them, drawing r1
+    and r2 (2n per particle). Pure GWO (lambda_min = 1) only moves to the
+    guidance, drawing A and C (6n), and its velocities stay zero. Every
+    other run does both and blends them, drawing A, C, r1 and r2 (8n), even
+    at a step whose blend weight is 0 or 1: the zero-weighted term adds
+    only a signed zero, and the fold maps -0.0 and 0.0 alike to 0.0. Each
+    block fills its rows of draws with one rng.random call, in row order,
+    so every particle gets the same uniforms whatever the block size.
     """
     t = state.iteration + 1
     m = etc.m
@@ -567,28 +530,20 @@ def step(
         inject_mutation(positions, mutation_sigma(config, diversity, m), rng, m)
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
-    # lambda_min, not lam: a lambda_min just below 1 can round lam to 1.0,
-    # and later steps still read the velocities
+    # tested on the config, not on lam: a lambda_min just below 1 rounds the
+    # early steps' lam to 1.0, and later steps still read the velocities
+    pure_pso = config.lambda_max == 0.0
     pure_gwo = config.lambda_min == 1.0
-    width = DRAWS_PER_COORD * n
-    # the columns of each row's draws that the update rules read
-    read = slice(6 * n, width) if lam == 0.0 else slice(0, 6 * n if pure_gwo else width)
-    bit_generator = rng.bit_generator
-    skip_unread = (
-        width - (read.stop - read.start) >= _SKIP_DRAWS
-        and isinstance(bit_generator, (PCG64, PCG64DXSM))
-        and not bit_generator.state["has_uint32"]
-    )
+    # a row of draws holds A (3n, leader by leader) and C (3n) if the run
+    # uses the guidance, then r1 (n) and r2 (n) if it uses the velocities
+    guide_width = 0 if pure_pso else 6 * n
 
     block = max(1, _BLOCK_COORDS // n)
-    draws = np.empty((min(block, swarm), width))
+    draws = np.empty((min(block, swarm), guide_width + (0 if pure_gwo else 2 * n)))
     for start in range(0, swarm, block):
         rows = slice(start, min(start + block, swarm))
         block_draws = draws[: rows.stop - start]
-        if skip_unread:
-            _fill_draws(rng, block_draws, read)
-        else:
-            rng.random(out=block_draws)
+        rng.random(out=block_draws)
         if pure_gwo:
             guide = gwo_guidance(positions[rows], state.leaders, a, block_draws, m)
             positions[rows] = _fold_position(guide, m)
@@ -599,13 +554,15 @@ def step(
             state.personal_best_positions[rows],
             state.leaders[0],
             config,
-            block_draws,
+            block_draws[:, guide_width:],
             m,
         )
-        if lam == 0.0:
+        if pure_pso:
             positions[rows] = _fold_position(positions[rows] + velocity, m)
         else:
-            guide = gwo_guidance(positions[rows], state.leaders, a, block_draws, m)
+            guide = gwo_guidance(
+                positions[rows], state.leaders, a, block_draws[:, :guide_width], m
+            )
             positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
         state.velocities[rows] = velocity
 

@@ -3,12 +3,13 @@
 This is the plain per-particle form of swarmsched.optimizer's run, kept as
 the oracle its matrix form must match bit for bit. Each particle is an object
 with its own arrays; all of them draw from the run's one generator, in
-particle order. A step draws a particle's A (3n), C (3n), r1 (n) and r2 (n)
-in that order, updates the particle, maps it and scores it from its loads
-with the scalar formulas. Nothing here calls into the code under test except
-the pieces both forms share by design: the schedules, diversity, mutation
-strength and load_vector. Positions are mapped by the sequential reference
-mapper, not by the block mapper.
+particle order. A step draws a particle's A (3n) and C (3n) if the run ever
+weights the guidance (lambda_max > 0), then its r1 (n) and r2 (n) if it ever
+weights the velocities (lambda_min < 1). It then updates the particle, maps
+it and scores it from its loads with the scalar formulas. Nothing here calls
+into the code under test except the pieces both forms share by design: the
+schedules, diversity, mutation strength and load_vector. Positions are
+mapped by the sequential reference mapper, not by the block mapper.
 
 The reference keeps its own global best, absorbed particle by particle from
 the personal-best updates, apart from the leader cascade, so that the oracle
@@ -166,10 +167,16 @@ def step(state, etc, config, rng, log):
 
     evaluations = []
     for particle in state.particles:
-        guide = gwo_guidance(
-            particle.position, state.alpha, state.beta_wolf, state.delta, a, rng, m
-        )
-        velocity = velocity_update(particle, state.global_best_position, config, rng, m)
+        # a rule the run never weights is not drawn for; its stand-in enters
+        # the blend at weight 0
+        guide = particle.position
+        if config.lambda_max > 0:
+            guide = gwo_guidance(
+                particle.position, state.alpha, state.beta_wolf, state.delta, a, rng, m
+            )
+        velocity = particle.velocity
+        if config.lambda_min < 1:
+            velocity = velocity_update(particle, state.global_best_position, config, rng, m)
         position = combined_update(particle.position, guide, lam, velocity, m)
         particle.velocity = velocity
         particle.position = position

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -43,6 +44,24 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "schedule" in out and "bench" in out and "trace" in out
+
+
+@pytest.mark.parametrize("command", ["schedule", "bench", "trace"])
+def test_help_states_the_defaults_that_settings_start_from(command, capsys):
+    code, out, _ = run_cli([command, "--help"], capsys)
+    assert code == 0
+    subparsers = cli.build_parser()._subparsers._group_actions[0]
+    stated = {}
+    for action in subparsers.choices[command]._actions:
+        match = re.search(r"\(default ([^)]*)\)", action.help or "")
+        if match:
+            # argparse wraps the help text, so compare it with the text unwrapped
+            assert match.group(0) in " ".join(out.split()), action.dest
+            stated[action.dest] = match.group(1)
+    assert stated, command
+    for dest, text in stated.items():
+        default = DEFAULTS[dest]
+        assert (text if isinstance(default, str) else float(text)) == default, dest
 
 
 def test_version_exits_zero(capsys):

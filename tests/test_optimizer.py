@@ -19,7 +19,6 @@ from swarmsched.encoding import capacity_threshold, decode_position, map_with_lo
 from swarmsched.metrics import default_beta, evaluate_assignment
 from swarmsched.workload import SyntheticSpec, generate_synthetic, standard_fleet
 from swarmsched.optimizer import (
-    DRAWS_PER_COORD,
     ConvergenceLog,
     OptimizerConfig,
     blend_weight,
@@ -40,14 +39,14 @@ from swarmsched.optimizer import (
 from conftest import random_instance
 
 
-def scripted_draws(n, a=0.0, c=0.0, r1=0.0, r2=0.0):
-    """One particle's per-step uniform draws as a (1, 8n) block.
+def guidance_draws(n, a=0.0, c=0.0):
+    """One particle's per-step guidance draws as a (1, 6n) block: A (3n), then C (3n)."""
+    return np.concatenate([np.full(3 * n, a), np.full(3 * n, c)])[np.newaxis]
 
-    The row holds A (3n), C (3n), r1 (n), r2 (n); each segment here is filled
-    with one scripted value.
-    """
-    row = np.concatenate([np.full(3 * n, a), np.full(3 * n, c), np.full(n, r1), np.full(n, r2)])
-    return row[np.newaxis]
+
+def velocity_draws(n, r1=0.0, r2=0.0):
+    """One particle's per-step velocity draws as a (1, 2n) block: r1 (n), then r2 (n)."""
+    return np.concatenate([np.full(n, r1), np.full(n, r2)])[np.newaxis]
 
 
 # ---------------------------------------------------------------- config
@@ -132,7 +131,7 @@ def test_velocity_update_forced_draws():
         np.full((1, 2), 2.0),
         np.full(2, 4.0),
         cfg,
-        scripted_draws(2, r1=1.0, r2=1.0),
+        velocity_draws(2, r1=1.0, r2=1.0),
         PERIOD,
     )
     npt.assert_allclose(out, [[6.0, 6.0]])
@@ -146,7 +145,7 @@ def test_velocity_update_clamps_to_v_max():
         np.full((1, 2), 2.0),
         np.full(2, 4.0),
         cfg,
-        scripted_draws(2, r1=1.0, r2=1.0),
+        velocity_draws(2, r1=1.0, r2=1.0),
         PERIOD,
     )
     npt.assert_allclose(out, [[5.0, 5.0]])
@@ -161,7 +160,7 @@ def test_velocity_update_keeps_inertia_only_when_pulls_vanish():
         positions.copy(),
         positions[0].copy(),
         cfg,
-        scripted_draws(2, r1=1.0, r2=1.0),
+        velocity_draws(2, r1=1.0, r2=1.0),
         PERIOD,
     )
     npt.assert_allclose(out, [[1.4, 1.4]])
@@ -178,7 +177,7 @@ def test_gwo_guidance_full_step_lands_on_origin():
         np.array([[0.0]]),
         LEADERS,
         a=1.0,
-        draws=scripted_draws(1, a=1.0, c=0.5),
+        draws=guidance_draws(1, a=1.0, c=0.5),
         period=PERIOD,
     )
     npt.assert_allclose(out, [[0.0]])
@@ -189,7 +188,7 @@ def test_gwo_guidance_zero_a_is_leader_centroid():
         np.array([[7.0]]),
         LEADERS,
         a=0.0,
-        draws=scripted_draws(1, a=0.123, c=0.456),
+        draws=guidance_draws(1, a=0.123, c=0.456),
         period=PERIOD,
     )
     npt.assert_allclose(out, [[2.0]])
@@ -201,7 +200,7 @@ def test_gwo_guidance_fixed_point_at_converged_leaders():
         x[np.newaxis],
         np.stack([x, x, x]),
         a=1.7,
-        draws=scripted_draws(2, a=0.3, c=0.5),
+        draws=guidance_draws(2, a=0.3, c=0.5),
         period=PERIOD,
     )
     npt.assert_allclose(out, [x])
@@ -217,13 +216,13 @@ def test_gwo_guidance_draw_order_is_a_then_c():
         np.array([[1.0]]),
         LEADERS,
         a=1.0,
-        draws=scripted_draws(1, a=1.0, c=0.0),
+        draws=guidance_draws(1, a=1.0, c=0.0),
         period=PERIOD,
     )
     npt.assert_allclose(out, [[2.0]])
-    # and a step's rows are drawn in stream order: A, C, r1, r2
+    # and a hybrid step's rows are drawn in stream order: A, C, r1, r2
     n = 5
-    row = np.empty(DRAWS_PER_COORD * n)
+    row = np.empty(8 * n)
     np.random.default_rng(4).random(out=row)
     rng = np.random.default_rng(4)
     parts = [rng.random((3, n)).ravel(), rng.random((3, n)).ravel(), rng.random(n), rng.random(n)]
@@ -231,13 +230,12 @@ def test_gwo_guidance_draw_order_is_a_then_c():
 
 
 def test_gwo_guidance_consumes_exactly_two_draws():
-    # Guidance reads exactly its two 3n-draw segments, A and C: the first 6n
-    # columns of a particle's 8n. The velocity update reads only the last 2n.
+    # Guidance reads every column of its two 3n-draw segments, A and C, and
+    # the velocity update every column of its r1 and r2.
     n = 3
     cfg = OptimizerConfig(v_max=10.0)
     positions = np.zeros((1, n))
     leaders = np.array([np.ones(n), np.full(n, 2.0), np.full(n, 3.0)])
-    base = scripted_draws(n, a=0.3, c=0.3, r1=0.3, r2=0.3)
 
     def guide(draws):
         return gwo_guidance(positions, leaders, a=1.0, draws=draws, period=PERIOD)
@@ -247,16 +245,17 @@ def test_gwo_guidance_consumes_exactly_two_draws():
             positions, np.zeros((1, n)), np.ones((1, n)), np.full(n, 2.0), cfg, draws, PERIOD
         )
 
-    for column in range(DRAWS_PER_COORD * n):
-        moved = base.copy()
-        moved[0, column] = 0.9
-        assert (not np.array_equal(guide(moved), guide(base))) == (column < 6 * n), column
-        assert (not np.array_equal(velocity(moved), velocity(base))) == (column >= 6 * n), column
+    for rule, base in ((guide, guidance_draws(n, a=0.3, c=0.3)),
+                       (velocity, velocity_draws(n, r1=0.3, r2=0.3))):
+        for column in range(base.shape[1]):
+            moved = base.copy()
+            moved[0, column] = 0.9
+            assert not np.array_equal(rule(moved), rule(base)), (rule.__name__, column)
 
 
 def test_gwo_guidance_rejects_negative_a():
     with pytest.raises(ValueError, match="non-negative"):
-        gwo_guidance(np.zeros((1, 1)), np.ones((3, 1)), -0.1, scripted_draws(1), PERIOD)
+        gwo_guidance(np.zeros((1, 1)), np.ones((3, 1)), -0.1, guidance_draws(1), PERIOD)
 
 
 def test_combined_update_blends_and_boxes():
@@ -297,11 +296,12 @@ def test_one_update_keeps_uniform_decodes_uniform():
     position, pbest = position[np.newaxis], pbest[np.newaxis]
     proposals = {}
     for a in (0.0, 1.0, 2.0):
-        draws = rng.random((1, DRAWS_PER_COORD * n))
+        # a hybrid row's 8n draws, of which guidance reads the first 6n
+        draws = rng.random((1, 8 * n))[:, : 6 * n]
         guide = gwo_guidance(position, np.stack(leaders), a, draws, m)
         proposals[f"guidance at a={a}"] = combined_update(position, guide, 1.0, np.zeros(n), m)
     config = OptimizerConfig(v_max=10.0 * m)
-    draws = rng.random((1, DRAWS_PER_COORD * n))
+    draws = rng.random((1, 8 * n))[:, 6 * n :]
     velocity = velocity_update(position, np.zeros((1, n)), pbest, gbest, config, draws, m)
     proposals["velocity"] = combined_update(position, np.zeros(n), 0.0, velocity, m)
     for label, proposal in proposals.items():
@@ -707,8 +707,8 @@ def count_update_calls(monkeypatch):
     [
         # 1500 tasks move a swarm of 7 in 4 blocks per step, over 3 steps
         (run, 0.4, {"gwo_guidance": 12, "velocity_update": 12, "combined_update": 12}),
-        # lambda reaches exactly 0 at the last step, which skips guidance and blend
-        (run, 0.0, {"gwo_guidance": 8, "velocity_update": 12, "combined_update": 8}),
+        # a hybrid blends at every step, even when lambda reaches exactly 0
+        (run, 0.0, {"gwo_guidance": 12, "velocity_update": 12, "combined_update": 12}),
         (run_pure_pso, 0.4, {"gwo_guidance": 0, "velocity_update": 12, "combined_update": 0}),
         (run_pure_gwo, 0.4, {"gwo_guidance": 12, "velocity_update": 0, "combined_update": 0}),
     ],
@@ -731,72 +731,18 @@ def kind_config(kind, **kwargs):
     return config if weight is None else ref.pin_pure(config, weight)
 
 
-def pending_half(bit_generator):
-    """A PCG64 generator holding the unused 32-bit half of its last output."""
-    rng = np.random.Generator(bit_generator)
-    rng.integers(0, 2, dtype=np.int32)
-    assert rng.bit_generator.state["has_uint32"]
-    return rng
-
-
 BIT_GENERATORS = {
-    "pcg64": lambda seed: np.random.Generator(np.random.PCG64(seed)),
-    "pcg64dxsm": lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
-    # advance is not draw-exact on Philox, and MT19937 has no advance
-    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
-    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
-    # advance would drop the pending half
-    "pcg64-pending-half": lambda seed: pending_half(np.random.PCG64(seed)),
+    "pcg64": np.random.PCG64,
+    "philox": np.random.Philox,
+    "mt19937": np.random.MT19937,
 }
 
 
-@pytest.mark.parametrize("make_rng", BIT_GENERATORS.values(), ids=BIT_GENERATORS.keys())
-@pytest.mark.parametrize("kind", STEP_KINDS)
-# pure PSO leaves 6n draws of a row unread and pure GWO 2n: at 1500 tasks
-# both are above _SKIP_DRAWS, at 8 both below
-@pytest.mark.parametrize("n", [8, 1500])
-def test_step_moves_as_a_full_fill_of_the_draws_would(monkeypatch, make_rng, kind, n):
-    workload, fleet = random_instance(np.random.default_rng(n), n=n, m=3)
-    etc = build_etc(workload, fleet)
-    cfg = kind_config(kind, swarm_size=5, max_iterations=2, seed=9).resolve(etc)
-
-    def two_steps(skip_draws):
-        monkeypatch.setattr(optimizer, "_SKIP_DRAWS", skip_draws)
-        rng = make_rng(cfg.seed)
-        state = initialize_swarm(etc, cfg, rng)
-        log = ConvergenceLog()
-        for _ in range(cfg.max_iterations):
-            step(state, etc, cfg, rng, log)
-        return state, log, rng.bit_generator.state
-
-    state, log, end = two_steps(optimizer._SKIP_DRAWS)
-    # no row leaves this many draws unread: every block is one full fill
-    want, want_log, want_end = two_steps(2**62)
-    for name in ("positions", "velocities", "personal_best_positions",
-                 "personal_best_fitness", "leaders", "leader_fitness"):
-        npt.assert_array_equal(getattr(state, name), getattr(want, name), err_msg=name)
-    assert log.rows == want_log.rows
-    npt.assert_equal(end, want_end)
-
-
-class CountingPCG64(np.random.PCG64):
-    """PCG64 that counts its advance calls."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.advances = 0
-
-    def advance(self, delta):
-        self.advances += 1
-        return super().advance(delta)
-
-
 class CountingGenerator:
-    """A Generator on a CountingPCG64 that also counts its random calls."""
+    """A Generator that counts its random calls."""
 
-    def __init__(self, seed):
-        self.bit_generator = CountingPCG64(seed)
-        self._rng = np.random.Generator(self.bit_generator)
+    def __init__(self, bit_generator):
+        self._rng = np.random.Generator(bit_generator)
         self.random_calls = 0
 
     def random(self, *args, **kwargs):
@@ -807,32 +753,30 @@ class CountingGenerator:
         return getattr(self._rng, name)
 
 
-@pytest.mark.parametrize(
-    "n, kind, want_random, want_advance",
-    [
-        # 8x3 with a swarm of 20 is one block of 20 rows, filled with one
-        # call, since no row leaves _SKIP_DRAWS draws unread
-        (8, "hybrid", 1, 0),
-        (8, "pso", 1, 0),
-        (8, "gwo", 1, 0),
-        # 1500 tasks move a swarm of 7 in 4 blocks; the ablations fill each
-        # row's read columns and advance over the rest
-        (1500, "hybrid", 4, 0),
-        (1500, "pso", 7, 7),
-        (1500, "gwo", 7, 7),
-    ],
-)
-def test_step_counts_of_random_and_advance_calls(n, kind, want_random, want_advance):
+# uniforms per task in a particle-step: A and C (6n) for the guidance, r1
+# and r2 (2n) for the velocities
+DRAWS_PER_TASK = {"hybrid": 8, "pso": 2, "gwo": 6}
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS.values(), ids=BIT_GENERATORS.keys())
+@pytest.mark.parametrize("kind", STEP_KINDS)
+# 8x3 with a swarm of 20 is one block of 20 rows; 1500 tasks move a swarm
+# of 7 in 4 blocks
+@pytest.mark.parametrize("n, blocks", [(8, 1), (1500, 4)])
+def test_step_fills_each_block_with_one_random_call(bit_generator, kind, n, blocks):
     workload, fleet = random_instance(np.random.default_rng(n), n=n, m=3)
     etc = build_etc(workload, fleet)
     swarm = 20 if n == 8 else 7
     cfg = kind_config(kind, swarm_size=swarm, max_iterations=3, d_min=0.0, seed=5).resolve(etc)
-    rng = CountingGenerator(cfg.seed)
+    rng = CountingGenerator(bit_generator(cfg.seed))
     state = initialize_swarm(etc, cfg, rng)
+    twin = np.random.Generator(bit_generator(cfg.seed))
+    twin.bit_generator.state = rng.bit_generator.state
     for t in range(1, cfg.max_iterations + 1):
         step(state, etc, cfg, rng, ConvergenceLog())
-        assert rng.random_calls == t * want_random
-        assert rng.bit_generator.advances == t * want_advance
+        assert rng.random_calls == t * blocks
+        twin.random(swarm * DRAWS_PER_TASK[kind] * n)
+        npt.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
 def count_mapped_rows(monkeypatch):
