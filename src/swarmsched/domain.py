@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +93,13 @@ class EtcMatrix:
             cached = self.entries.tolist()
             object.__setattr__(self, "_rows", cached)
         return cached
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """m * arange(n), read-only: task i's cost on VM j is entries.flat[offsets[i] + j]."""
+        offsets = self.m * np.arange(self.n, dtype=np.int64)
+        offsets.flags.writeable = False
+        return offsets
 
 
 def check_assignment(assignment: Sequence[int] | np.ndarray, n: int, m: int) -> np.ndarray:

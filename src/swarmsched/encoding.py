@@ -23,15 +23,21 @@ __all__ = [
 
 
 def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
-    """Map continuous coordinates to VM indices: floor(|x_i|) mod m, elementwise."""
+    """Map continuous coordinates to VM indices: floor(|x_i|) mod m, elementwise.
+
+    The mod runs only if some |x_i| reaches m: below m, floor(|x_i|) is its own remainder.
+    """
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
-    coords = np.asarray(position, dtype=float)
-    if not np.all(np.isfinite(coords)):
+    coords = np.abs(np.asarray(position, dtype=float))  # a fresh copy, floored in place
+    top = coords.max(initial=0.0)  # NaN and +-inf leave it non-finite
+    if not np.isfinite(top):
         raise ValueError("non-finite coordinate in position")
-    # mod in float space: floor(|x|) may exceed the int64 range for wild inputs;
-    # on a non-negative operand fmod equals mod bit for bit and is cheaper
-    return np.fmod(np.floor(np.abs(coords)), m).astype(np.int64)
+    np.floor(coords, out=coords)
+    if top >= m:
+        # mod in float space, as floor(|x|) may pass int64; on x >= 0 fmod is mod bit for bit
+        np.fmod(coords, m, out=coords)
+    return coords.astype(np.int64)
 
 
 def capacity_threshold(etc: EtcMatrix, headroom_theta: float) -> float:
@@ -69,9 +75,9 @@ def map_with_loads(
     m = etc.m
     raw = decode_position(position, m)
     block = np.atleast_2d(raw)  # a view: settling its rows settles raw
-    k, n = block.shape
+    k = block.shape[0]
     # one flat gather: task i's cost on VM j is entry i * m + j
-    costs = np.take(etc.entries, block + m * np.arange(n))
+    costs = np.take(etc.entries, block + etc.offsets)
     # bincount adds each weight into its bin in index order, so every total
     # is bit for bit the left-to-right sum the placement loop accumulates
     keys = block + m * np.arange(k)[:, np.newaxis]

@@ -62,6 +62,21 @@ def test_etc_rows_matches_entries_and_is_cached():
     assert etc.rows() is rows
 
 
+def test_etc_offsets_are_cached_read_only_and_per_matrix():
+    three = EtcMatrix(np.ones((3, 4)))
+    five = EtcMatrix(np.ones((5, 4)))
+    offsets = three.offsets
+    assert offsets.dtype == np.int64
+    npt.assert_array_equal(offsets, 4 * np.arange(3))
+    npt.assert_array_equal(five.offsets, 4 * np.arange(5))
+    assert three.offsets is offsets
+    # every later gather reads the cached vector, so a stray write must fail
+    assert not offsets.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[1] = 0
+    assert not np.shares_memory(offsets, five.offsets)
+
+
 def test_build_etc_hand_table(tiny_workload, tiny_fleet):
     # lengths [100, 500] MI over [1000, 2000] MIPS: seconds = length / mips
     etc = build_etc(tiny_workload, tiny_fleet)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,3 +126,46 @@ def test_fmod_decode_equals_the_mod_decode(coords, m):
     operand = np.floor(np.abs(np.array(coords)))
     npt.assert_array_equal(np.fmod(operand, m).view(np.int64), np.mod(operand, m).view(np.int64))
     npt.assert_array_equal(decode_position(coords, m), ref.decode(coords, m))
+
+
+@st.composite
+def decode_blocks(draw):
+    """(k, n) blocks in [0, m), some rows given a coordinate from the fmod path's edges."""
+    m = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.uniform(0.0, m, (k, n))
+    edges = [float(m), 10.0 * m, 1e300, -0.0, 2.0**63, -float(m), float(np.nextafter(m, 0.0))]
+    # no marked row: the whole block lies in [0, m) and skips the mod
+    for row in draw(st.lists(st.integers(0, k - 1), max_size=k)):
+        block[row, draw(st.integers(0, n - 1))] = draw(st.sampled_from(edges))
+    return block, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=decode_blocks())
+def test_block_decode_equals_the_mod_decode(case):
+    block, m = case
+    before = block.copy()
+    decoded = decode_position(block, m)
+    assert decoded.dtype == np.int64
+    npt.assert_array_equal(decoded, ref.decode(block, m))
+    # the floor works in place on the decoder's own copy: even -0.0 stays as it was
+    npt.assert_array_equal(block.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((3, 0))])
+def test_decode_of_an_empty_input_is_an_empty_int64_array(empty):
+    decoded = decode_position(empty, 4)
+    assert decoded.dtype == np.int64
+    assert decoded.shape == np.shape(empty)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_decode_rejects_a_non_finite_coordinate_anywhere_in_an_in_range_block(bad):
+    for index in np.ndindex(2, 3):
+        block = np.full((2, 3), 1.5)
+        block[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decode_position(block, 4)

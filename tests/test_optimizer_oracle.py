@@ -125,38 +125,67 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
     forced_mutation=st.booleans(),
     edge_seed=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
+    inertia=st.sampled_from([0.7, 1.2, 1.5]),
+    v_max=st.sampled_from([None, 2.0]),
 )
 @example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=1, variant="hybrid",
-         forced_mutation=True, edge_seed=False, seed=11)
+         forced_mutation=True, edge_seed=False, seed=11,
+         inertia=0.7, v_max=None)
 @example(n=8, m=3, swarm=2, steps=4, seeds=0, variant="hybrid",
-         forced_mutation=False, edge_seed=False, seed=1)
+         forced_mutation=False, edge_seed=False, seed=1,
+         inertia=0.7, v_max=None)
 @example(n=8, m=3, swarm=3, steps=4, seeds=2, variant="hybrid",
-         forced_mutation=True, edge_seed=False, seed=2)
+         forced_mutation=True, edge_seed=False, seed=2,
+         inertia=0.7, v_max=None)
 # the ablations draw for and compute only the rule they weight, over
 # several blocks and a partial last block, and in a single block
 @example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=0, variant="pso",
-         forced_mutation=False, edge_seed=False, seed=12)
+         forced_mutation=False, edge_seed=False, seed=12,
+         inertia=0.7, v_max=None)
 @example(n=MULTI_BLOCK_N, m=3, swarm=7, steps=3, seeds=0, variant="gwo",
-         forced_mutation=False, edge_seed=False, seed=13)
+         forced_mutation=False, edge_seed=False, seed=13,
+         inertia=0.7, v_max=None)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="pso",
-         forced_mutation=False, edge_seed=False, seed=3)
+         forced_mutation=False, edge_seed=False, seed=3,
+         inertia=0.7, v_max=None)
 @example(n=30, m=4, swarm=7, steps=3, seeds=0, variant="gwo",
-         forced_mutation=False, edge_seed=False, seed=4)
+         forced_mutation=False, edge_seed=False, seed=4,
+         inertia=0.7, v_max=None)
 @example(n=8, m=3, swarm=20, steps=3, seeds=0, variant="gwo",
-         forced_mutation=False, edge_seed=False, seed=14)
+         forced_mutation=False, edge_seed=False, seed=14,
+         inertia=0.7, v_max=None)
 # both sides of the fitness-table bound, m ** n <= 2 ** 16: the largest
 # tabulated spaces (2 ** 16 and 4 ** 8 plans) and the smallest space above it
 @example(n=16, m=2, swarm=20, steps=4, seeds=2, variant="hybrid",
-         forced_mutation=True, edge_seed=False, seed=5)
+         forced_mutation=True, edge_seed=False, seed=5,
+         inertia=0.7, v_max=None)
 @example(n=8, m=4, swarm=20, steps=4, seeds=0, variant="pso",
-         forced_mutation=False, edge_seed=False, seed=6)
+         forced_mutation=False, edge_seed=False, seed=6,
+         inertia=0.7, v_max=None)
 @example(n=17, m=2, swarm=20, steps=4, seeds=1, variant="hybrid",
-         forced_mutation=False, edge_seed=False, seed=7)
+         forced_mutation=False, edge_seed=False, seed=7,
+         inertia=0.7, v_max=None)
 # a seed on both ends of the decode period, 0.0 and the last float below m
 @example(n=8, m=3, swarm=7, steps=3, seeds=2, variant="hybrid",
-         forced_mutation=False, edge_seed=True, seed=8)
+         forced_mutation=False, edge_seed=True, seed=8,
+         inertia=0.7, v_max=None)
+# the velocity clamp binds: inertia above 1 grows |v| past the default
+# v_max of 10m within 25 steps at 8x3, and v_max 2.0 binds from the first
+# steps, here over several blocks and a partial last block
+@example(n=8, m=3, swarm=7, steps=25, seeds=0, variant="hybrid",
+         forced_mutation=False, edge_seed=False, seed=15,
+         inertia=1.2, v_max=None)
+@example(n=8, m=3, swarm=20, steps=25, seeds=0, variant="pso",
+         forced_mutation=False, edge_seed=False, seed=16,
+         inertia=1.2, v_max=None)
+@example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=1, variant="hybrid",
+         forced_mutation=False, edge_seed=False, seed=17,
+         inertia=1.5, v_max=2.0)
+@example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=0, variant="pso",
+         forced_mutation=False, edge_seed=False, seed=18,
+         inertia=1.5, v_max=2.0)
 def test_matrix_swarm_matches_per_particle_reference(
-    n, m, swarm, steps, seeds, variant, forced_mutation, edge_seed, seed
+    n, m, swarm, steps, seeds, variant, forced_mutation, edge_seed, seed, inertia, v_max
 ):
     rng = np.random.default_rng(seed)
     workload, fleet = random_instance(rng, n=n, m=m)
@@ -165,6 +194,8 @@ def test_matrix_swarm_matches_per_particle_reference(
         max_iterations=steps,
         seed=seed,
         d_min=1e9 if forced_mutation else None,
+        inertia=inertia,
+        v_max=v_max,
     )
     if variant in VARIANT_WEIGHT:
         config = ref.pin_pure(config, VARIANT_WEIGHT[variant])
