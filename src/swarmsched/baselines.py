@@ -45,7 +45,7 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     and commits exactly the plan of the greedy over the whole ETC table.
     """
     etc = build_etc(workload, vms)
-    rows = etc.rows()
+    rows = etc.rows
     lengths = workload.lengths_mi()
     order = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[order]

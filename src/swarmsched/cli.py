@@ -210,7 +210,7 @@ def resolve_settings(args: argparse.Namespace) -> dict:
         if key in settings and value is not None:
             settings[key] = value
     for key in ("limit", "replicates", "jobs", "tasks", "vms"):
-        if settings[key] is not None and settings[key] < 1:
+        if settings[key] < 1:
             raise UsageError(f"--{key} must be >= 1, got {settings[key]}")
     # unused under --trace, but recorded in the manifest, which is strict JSON
     for key in ("min_length_mi", "max_length_mi"):

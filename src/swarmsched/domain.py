@@ -85,14 +85,11 @@ class EtcMatrix:
     def m(self) -> int:
         return self.entries.shape[1]
 
+    @cached_property
     def rows(self) -> list[list[float]]:
         # Plain nested lists, cached: the sequential mapping loops index single
         # cells millions of times and ndarray scalar access is far slower.
-        cached = self.__dict__.get("_rows")
-        if cached is None:
-            cached = self.entries.tolist()
-            object.__setattr__(self, "_rows", cached)
-        return cached
+        return self.entries.tolist()
 
     @cached_property
     def offsets(self) -> np.ndarray:

@@ -25,17 +25,18 @@ __all__ = [
 def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
     """Map continuous coordinates to VM indices: floor(|x_i|) mod m, elementwise.
 
-    The mod runs only if some |x_i| reaches m: below m, floor(|x_i|) is its own remainder.
+    The integer cast truncates, which floors a non-negative value, and fmod is
+    exact, so trunc(fmod(|x_i|, m)) is floor(|x_i|) mod m. The fmod runs only
+    if some |x_i| reaches m: below m, |x_i| is its own remainder.
     """
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
-    coords = np.abs(np.asarray(position, dtype=float))  # a fresh copy, floored in place
+    coords = np.abs(np.asarray(position, dtype=float))  # a fresh copy, so fmod may write into it
     top = coords.max(initial=0.0)  # NaN and +-inf leave it non-finite
     if not np.isfinite(top):
         raise ValueError("non-finite coordinate in position")
-    np.floor(coords, out=coords)
     if top >= m:
-        # mod in float space, as floor(|x|) may pass int64; on x >= 0 fmod is mod bit for bit
+        # mod in float space, as |x| may pass int64; on x >= 0 fmod is mod bit for bit
         np.fmod(coords, m, out=coords)
     return coords.astype(np.int64)
 
@@ -86,7 +87,7 @@ def map_with_loads(
     # all fit never breached on the way and keeps its raw decode
     breaching = np.flatnonzero(loads.max(axis=1) > threshold)
     if breaching.size:
-        rows = etc.rows()
+        rows = etc.rows
         for r in breaching.tolist():
             block[r], loads[r] = _place_in_order(block[r].tolist(), rows, m, threshold)
     return raw, loads.reshape(raw.shape[:-1] + (m,))

@@ -41,6 +41,8 @@ __all__ = [
     "run_experiment",
     "paired_t_test",
     "write_raw_csv",
+    "aggregates_payload",
+    "ttests_payload",
     "write_aggregates_json",
     "write_ttests_json",
     "write_convergence_csvs",

@@ -19,7 +19,7 @@ def decode(position, m):
 
 def map_with_loads(position, etc, threshold):
     m = etc.m
-    rows = etc.rows()
+    rows = etc.rows
     loads = [0.0] * m
     out = []
     for i, j in enumerate(decode(position, m).tolist()):

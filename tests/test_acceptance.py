@@ -355,7 +355,7 @@ def test_criterion_9_min_min_against_independent_greedy(capsys):
             workload, fleet = random_instance(rng, n=n, m=m)
             etc = build_etc(workload, fleet)
             fast = min_min(workload, fleet)
-            oracle = greedy_min_min_oracle(etc.rows(), m)
+            oracle = greedy_min_min_oracle(etc.rows, m)
             if not np.array_equal(fast, np.asarray(oracle)):
                 mismatches += 1
         passed = mismatches == 0

@@ -57,9 +57,9 @@ def test_etc_matrix_shape_properties():
 
 def test_etc_rows_matches_entries_and_is_cached():
     etc = EtcMatrix(np.array([[0.1, 0.05], [0.5, 0.25]]))
-    rows = etc.rows()
+    rows = etc.rows
     assert rows == [[0.1, 0.05], [0.5, 0.25]]
-    assert etc.rows() is rows
+    assert etc.rows is rows
 
 
 def test_etc_offsets_are_cached_read_only_and_per_matrix():
