@@ -7,7 +7,7 @@ import json
 import math
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, make_dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import IO, Mapping, Sequence
@@ -103,20 +103,22 @@ class ExperimentPlan:
             raise ValueError(f"root_seed must be non-negative, got {self.root_seed}")
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """One (scheduler, replicate) cell of an experiment."""
+# The classes built from MetricsReport's fields name this module, not "types"
+# (make_dataclass's default before Python 3.12), so worker processes can pickle them.
+_IN_THIS_MODULE = {"__module__": __name__}
 
-    scheduler: str
-    replicate: int
-    seed: int
-    makespan_s: float
-    throughput_tps: float
-    cv: float
-    boi: float
-    fitness: float
-    wall_ms: float
-
+RunRecord = make_dataclass(
+    "RunRecord",
+    [
+        ("scheduler", str),
+        ("replicate", int),
+        ("seed", int),
+        *((field.name, field.type) for field in fields(MetricsReport)),
+        ("wall_ms", float),
+    ],
+    frozen=True,
+    namespace={**_IN_THIS_MODULE, "__doc__": "One (scheduler, replicate) cell of an experiment."},
+)
 
 RAW_CSV_HEADER = tuple(field.name for field in fields(RunRecord))
 
@@ -128,13 +130,17 @@ class MetricStats:
     median: float
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    makespan_s: MetricStats
-    throughput_tps: MetricStats
-    cv: MetricStats
-    boi: MetricStats
-    wall_ms_mean: float
+# Every metric but fitness, which raw.csv records per run, is aggregated.
+_AGGREGATED_METRICS = tuple(
+    field.name for field in fields(MetricsReport) if field.name != "fitness"
+)
+
+AggregateResult = make_dataclass(
+    "AggregateResult",
+    [*((metric, MetricStats) for metric in _AGGREGATED_METRICS), ("wall_ms_mean", float)],
+    frozen=True,
+    namespace=_IN_THIS_MODULE,
+)
 
 
 @dataclass(frozen=True)
@@ -257,8 +263,9 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
         for name in plan.schedulers
         for r in range(plan.replicates)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))  # a pool starts all its workers up front
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_execute_cell, cells))
     else:
         outcomes = [_execute_cell(cell) for cell in cells]
@@ -277,7 +284,7 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
 
 
 # The RunRecord columns that aggregates or t-tests read.
-_STAT_METRICS = (*TTEST_METRICS, "boi", "wall_ms")
+_STAT_METRICS = (*_AGGREGATED_METRICS, "wall_ms")
 
 
 def _metric_arrays(records: Sequence[RunRecord]) -> dict[str, dict[str, np.ndarray]]:
@@ -303,10 +310,7 @@ def _aggregate(
 
     return {
         name: AggregateResult(
-            makespan_s=stats(per_metric["makespan_s"][name]),
-            throughput_tps=stats(per_metric["throughput_tps"][name]),
-            cv=stats(per_metric["cv"][name]),
-            boi=stats(per_metric["boi"][name]),
+            *(stats(per_metric[metric][name]) for metric in _AGGREGATED_METRICS),
             wall_ms_mean=float(per_metric["wall_ms"][name].mean()),
         )
         for name in plan.schedulers

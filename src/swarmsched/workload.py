@@ -89,7 +89,8 @@ def ingest_trace(
             f"scale_mi_per_core_s must be finite and positive, got {scale_mi_per_core_s}"
         )
     tasks: list[Task] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig reads plain UTF-8 too, and drops a leading byte-order mark
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(cell.strip() for cell in header) != TRACE_HEADER:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, replace
+import pickle
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from swarmsched import harness
 from swarmsched.domain import build_etc
 from swarmsched.harness import (
     ALGORITHMS,
+    AggregateResult,
     ExperimentPlan,
     RAW_CSV_HEADER,
     SyntheticSource,
@@ -33,7 +35,7 @@ from swarmsched.harness import (
     write_raw_csv,
     write_ttests_json,
 )
-from swarmsched.metrics import evaluate_assignment
+from swarmsched.metrics import MetricsReport, evaluate_assignment
 from swarmsched.optimizer import OptimizerConfig
 from swarmsched.workload import SyntheticSpec, generate_synthetic, standard_fleet
 
@@ -196,10 +198,50 @@ def test_parallel_execution_matches_serial():
     plan = small_plan()
     serial = run_experiment(plan, jobs=1)
     parallel = run_experiment(plan, jobs=2)
+    assert len(serial.records) == len(parallel.records)
     for a, b in zip(serial.records, parallel.records):
-        assert (a.scheduler, a.replicate, a.seed) == (b.scheduler, b.replicate, b.seed)
-        assert a.makespan_s == b.makespan_s
-        assert a.fitness == b.fitness
+        assert replace(a, wall_ms=0.0) == replace(b, wall_ms=0.0)
+
+
+def test_worker_count_is_capped_at_the_cell_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Records the worker count it is asked for and starts no process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    result = run_experiment(small_plan(("rr", "minmin"), replicates=1), jobs=1000)
+    assert requested == [2]
+    assert len(result.records) == 2
+
+
+def test_record_and_aggregate_fields_derive_from_metrics_report():
+    metrics = [field.name for field in fields(MetricsReport)]
+    assert RAW_CSV_HEADER == ("scheduler", "replicate", "seed", *metrics, "wall_ms")
+    aggregated = [name for name in metrics if name != "fitness"]
+    assert [field.name for field in fields(AggregateResult)] == [*aggregated, "wall_ms_mean"]
+    assert set(TTEST_METRICS) <= set(aggregated)
+
+
+def test_records_and_aggregates_survive_pickling():
+    # worker processes return records by pickle, so the built classes must
+    # be found by name in their module
+    result = run_experiment(small_plan(("rr",), replicates=1))
+    record, aggregate = result.records[0], result.aggregates["rr"]
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(aggregate)) == aggregate
 
 
 def test_aggregates_hand_checked_stats():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -19,6 +21,7 @@ from swarmsched.workload import (
 from conftest import make_workload
 
 HEADER = "task_id,cpu_request,duration_s"
+PINNED_TRACE = Path(__file__).parent / "data" / "pinned_trace.csv"
 
 
 def write_trace(tmp_path, body, name="trace.csv"):
@@ -133,6 +136,12 @@ def test_ingest_trace_skips_blank_lines(tmp_path):
     path = write_trace(tmp_path, f"{HEADER}\n\nj1,0.5,10\n\nj2,0.5,2\n")
     workload = ingest_trace(path, limit=10)
     assert len(workload) == 2
+
+
+def test_ingest_trace_accepts_a_utf8_byte_order_mark(tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + PINNED_TRACE.read_bytes())
+    assert ingest_trace(bom, limit=100) == ingest_trace(PINNED_TRACE, limit=100)
 
 
 def test_ingest_trace_errors_on_no_valid_records(tmp_path):
