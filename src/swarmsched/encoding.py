@@ -32,7 +32,8 @@ def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarra
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
     coords = np.abs(np.asarray(position, dtype=float))  # a fresh copy, so fmod may write into it
-    top = coords.max(initial=0.0)  # NaN and +-inf leave it non-finite
+    # the reduce that coords.max(initial=0.0) runs; NaN and +-inf leave it non-finite
+    top = np.maximum.reduce(coords, axis=None, initial=0.0)
     if not np.isfinite(top):
         raise ValueError("non-finite coordinate in position")
     if top >= m:
@@ -78,14 +79,14 @@ def map_with_loads(
     block = np.atleast_2d(raw)  # a view: settling its rows settles raw
     k = block.shape[0]
     # one flat gather: task i's cost on VM j is entry i * m + j
-    costs = np.take(etc.entries, block + etc.offsets)
+    costs = etc.entries.take(block + etc.offsets)
     # bincount adds each weight into its bin in index order, so every total
     # is bit for bit the left-to-right sum the placement loop accumulates
     keys = block + m * np.arange(k)[:, np.newaxis]
     loads = np.bincount(keys.ravel(), weights=costs.ravel(), minlength=k * m).reshape(k, m)
     # partial sums of positive costs never decrease, so a row whose totals
     # all fit never breached on the way and keeps its raw decode
-    breaching = np.flatnonzero(loads.max(axis=1) > threshold)
+    breaching = (np.maximum.reduce(loads, axis=1) > threshold).nonzero()[0]
     if breaching.size:
         rows = etc.rows
         for r in breaching.tolist():

@@ -55,20 +55,25 @@ def coefficient_of_variation(loads: Sequence[float] | np.ndarray) -> float | np.
     row and gives one CV per row.
     """
     arr = np.asarray(loads, dtype=float)
-    m = arr.shape[-1]
-    if m == 0:
+    if arr.shape[-1] == 0:
         raise ValueError("undefined CV: no loads")
-    # the ufuncs that arr.mean(axis=-1) and arr.std(axis=-1) run, in their
-    # order, without their Python wrappers: bit for bit the same values
-    mean = np.add.reduce(arr, axis=-1, keepdims=True)
+    cv = _cv(arr)
+    return float(cv) if arr.ndim == 1 else cv
+
+
+def _cv(loads: np.ndarray) -> np.ndarray:
+    """CV along the last axis of a float array whose last axis is not empty."""
+    m = loads.shape[-1]
+    # the ufuncs that loads.mean(axis=-1) and loads.std(axis=-1) run, in
+    # their order, without their Python wrappers: bit for bit the same values
+    mean = np.add.reduce(loads, axis=-1, keepdims=True)
     mean /= m
     if (mean == 0).any():
         raise ValueError("undefined CV: zero mean load")
-    spread = np.subtract(arr, mean)
+    spread = np.subtract(loads, mean)
     np.multiply(spread, spread, out=spread)
     std = np.sqrt(np.add.reduce(spread, axis=-1) / m)
-    cv = std / mean[..., 0]
-    return float(cv) if arr.ndim == 1 else cv
+    return std / mean[..., 0]
 
 
 def balance_optimality_index(cv: float | np.ndarray) -> float | np.ndarray:
@@ -108,12 +113,18 @@ def score_loads(
 
     Under back-to-back per-VM execution the makespan is the largest load. A
     whole swarm scores in one pass from its (S, m) loads matrix; each row
-    gives bit for bit what the same row alone would.
+    gives bit for bit what the same row alone would, and what
+    coefficient_of_variation, balance_optimality_index and fitness give.
+    Loads are sums of non-negative ETCs, so the one check they need is the
+    CV's zero mean: with a positive mean the makespan is positive and the BOI
+    lies in (0, 1].
     """
+    if beta < 0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
     makespan_s = np.maximum.reduce(loads, axis=-1)
-    cv = coefficient_of_variation(loads)
-    boi = balance_optimality_index(cv)
-    return makespan_s, cv, boi, fitness(makespan_s, boi, beta)
+    cv = _cv(loads)
+    boi = 1.0 / (1.0 + cv)
+    return makespan_s, cv, boi, makespan_s + beta * (1.0 - boi)
 
 
 def evaluate_assignment(

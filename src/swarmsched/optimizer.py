@@ -18,10 +18,15 @@ toward the middle of the period and decodes toward the middle VMs.
 
 The swarm lives in (S, n) matrices, one row per particle, and the leaders
 alpha, beta and delta in the rows of one (3, n) table. A step moves the
-swarm in blocks of rows with one array expression per update rule, maps the
-same blocks of rows with one mapper call each, scores the whole swarm from
-its (S, m) loads matrix in one pass, and ranks the leaders anew with one
-stable sort of the old leaders and the rows that beat delta.
+swarm in blocks of rows, in place. Per block it wraps the leaders' offsets
+from the rows once (the guidance reads all three, the velocity rule
+alpha's), calls each update rule once, and writes the new velocities and
+positions into the block's own rows. It then maps the same blocks of rows
+with one mapper call each, scores the whole swarm from its (S, m) loads
+matrix in one pass, and ranks the leaders anew with one stable sort of the
+old leaders and the rows that beat delta. Every in-place form runs the
+plain expression's operations in the same order, so the results are bit
+for bit those of the plain expressions.
 
 A converged swarm keeps proposing plans it has already scored. So when the
 decode space is small, m ** n <= 2 ** 16 plans (8 tasks on 3 VMs have 3 ** 8
@@ -56,6 +61,7 @@ __all__ = [
     "ConvergenceLog",
     "blend_weight",
     "gwo_coefficient_a",
+    "leader_offsets",
     "velocity_update",
     "gwo_guidance",
     "combined_update",
@@ -248,11 +254,13 @@ def gwo_coefficient_a(t: int, config: OptimizerConfig) -> float:
     return 2.0 * (1.0 - t / config.max_iterations)
 
 
-# Coordinates per array pass of a step. A block's largest temporaries are
-# (k, 3, n) float64, 24 bytes per coordinate: 96 KiB here, under glibc
-# malloc's default 128 KiB mmap threshold, so they are reused heap memory.
-# Blocks of 2**14 coordinates had every such temporary mapped and faulted in
-# afresh, about 34k minor page faults per run at 800x4 and 50k at 5000x8.
+# Coordinates per block of rows that a step moves, maps or kicks at once. A
+# block's largest temporaries, the leader offsets and the guidance's work
+# arrays, are (k, 3, n) float64, 24 bytes per coordinate: 96 KiB here, under
+# glibc malloc's default 128 KiB mmap threshold, so they are reused heap
+# memory. Blocks of 2**14 coordinates had every such temporary mapped and
+# faulted in afresh, about 34k minor page faults per run at 800x4 and 50k at
+# 5000x8. At 5000 tasks a block is one row.
 _BLOCK_COORDS = 2**12
 
 # Largest decode space, in plans (m ** n), that a run keeps a fitness table
@@ -273,29 +281,47 @@ def _wrap_offset(offset: np.ndarray, period: float, work: np.ndarray) -> None:
     offset -= work
 
 
-def _fold_position(position: np.ndarray, period: float) -> np.ndarray:
-    """Fold coordinates into [0, period], the decode's fundamental interval.
+def _fold_position(position: np.ndarray, period: float, out: np.ndarray) -> None:
+    """Write position folded into [0, period], the decode's fundamental interval, into out.
 
-    Rounding can land a tiny negative coordinate on period itself, which
-    decodes like 0.
+    out is a separate array of position's shape. Rounding can land a tiny
+    negative coordinate on period itself, which decodes like 0.
     """
-    return position - period * np.floor(position / period)
+    # position - period * floor(position / period), one operation at a time
+    np.divide(position, period, out=out)
+    np.floor(out, out=out)
+    out *= period
+    np.subtract(position, out, out=out)
+
+
+def leader_offsets(positions: np.ndarray, leaders: np.ndarray, period: float) -> np.ndarray:
+    """Each leader's offset from each position, wrapped modulo the decode period.
+
+    positions is (k, n) and leaders (l, n); the result is (k, l, n), and
+    [:, 0] of it, alpha's offsets, is the velocity rule's pull toward the
+    global best.
+    """
+    offsets = np.subtract(leaders, positions[:, np.newaxis])
+    _wrap_offset(offsets, period, np.empty_like(offsets))
+    return offsets
 
 
 def velocity_update(
     positions: np.ndarray,
     velocities: np.ndarray,
     personal_best_positions: np.ndarray,
-    global_best: np.ndarray,
+    alpha_offsets: np.ndarray,
     config: OptimizerConfig,
     draws: np.ndarray,
     period: float,
 ) -> np.ndarray:
     """Inertia plus stochastic pulls toward personal and global bests, clamped.
 
-    Rows are particles: positions, velocities and personal bests are (k, n),
-    and draws is (k, 2n), the pulls r1 then r2. Each pull follows the
-    attractor's offset wrapped modulo the decode period.
+    Rows are particles: positions, velocities, personal bests and
+    alpha_offsets are (k, n), and draws is (k, 2n), the pulls r1 then r2.
+    Each pull follows the attractor's offset wrapped modulo the decode
+    period; alpha_offsets, the global best's, come from leader_offsets. The
+    new velocities overwrite velocities, which is returned.
     """
     n = positions.shape[1]
     r1 = draws[:, :n]
@@ -303,55 +329,53 @@ def velocity_update(
     # inertia * V + c1 * r1 * wrap(P - X) + c2 * r2 * wrap(G - X), added in
     # that order; each product is commutative, so the in-place forms are
     # bit for bit the plain expression
-    velocity = np.multiply(velocities, config.inertia)
     pull = np.subtract(personal_best_positions, positions)
     work = np.empty_like(pull)
     _wrap_offset(pull, period, work)
     pull *= np.multiply(r1, config.c1, out=work)
-    velocity += pull
-    np.subtract(global_best, positions, out=pull)
-    _wrap_offset(pull, period, work)
-    pull *= np.multiply(r2, config.c2, out=work)
-    velocity += pull
-    np.minimum(velocity, config.v_max, out=velocity)  # then maximum: np.clip at half the cost
-    return np.maximum(velocity, -config.v_max, out=velocity)
+    velocities *= config.inertia
+    velocities += pull
+    np.multiply(r2, config.c2, out=work)
+    work *= alpha_offsets
+    velocities += work
+    np.minimum(velocities, config.v_max, out=velocities)  # then maximum: np.clip at half the cost
+    return np.maximum(velocities, -config.v_max, out=velocities)
 
 
 def gwo_guidance(
     positions: np.ndarray,
-    leaders: np.ndarray,
+    offsets: np.ndarray,
     a: float,
     draws: np.ndarray,
-    period: float,
 ) -> np.ndarray:
     """Mean of the three leader-guided points, fresh draws per leader and component.
 
-    Rows are particles: positions is (k, n) and draws is (k, 6n), whose first
-    3n columns give A and last 3n give C, leader by leader. The rows of
-    leaders, (3, n), are alpha, beta and delta. With D the
-    leader's offset from the position, wrapped modulo the decode period, each
-    guided point is position + D - A * |C * D|: the encircling rule
-    L - A * |C * L - X| measured from the position rather than from the
-    origin, so that it does not depend on where the coordinate sits in the period.
+    Rows are particles: positions is (k, n), offsets (k, 3, n) and draws
+    (k, 6n), whose first 3n columns give A and last 3n give C, leader by
+    leader. offsets are alpha's, beta's and delta's offsets D from each
+    position, wrapped modulo the decode period (leader_offsets); they are
+    overwritten. Each guided point is position + D - A * |C * D|: the
+    encircling rule L - A * |C * L - X| measured from the position rather
+    than from the origin, so that it does not depend on where the coordinate
+    sits in the period.
     """
     if a < 0:
         raise ValueError(f"a must be non-negative, got {a}")
     k, n = positions.shape
-    offset = np.subtract(leaders, positions[:, np.newaxis])  # (k, 3, n)
-    work = np.empty_like(offset)
-    _wrap_offset(offset, period, work)
+    work = np.empty_like(offsets)
     # |C * D| with C = 2 * draw in [0, 2], then A * |C * D| with
     # A = 2a * draw - a in [-a, a]; products commute, so writing them in
-    # place gives the plain expression bit for bit
+    # place gives the plain expression bit for bit. Fresh buffers, not the
+    # draws' own strided columns: numpy runs those passes slower.
     np.multiply(draws[:, 3 * n :].reshape(k, 3, n), 2.0, out=work)
-    work *= offset
+    work *= offsets
     np.abs(work, out=work)
     a_coef = np.multiply(draws[:, : 3 * n].reshape(k, 3, n), 2.0 * a)
     a_coef -= a
     work *= a_coef
-    offset -= work
-    # sum / 3 equals mean(axis=1) bit for bit without np.mean's Python overhead
-    guided = offset.sum(axis=1)
+    offsets -= work
+    # the reduce that sum(axis=1) runs, then / 3: mean(axis=1) bit for bit
+    guided = np.add.reduce(offsets, axis=1)
     guided /= 3.0
     guided += positions
     return guided
@@ -366,12 +390,20 @@ def combined_update(
 ) -> np.ndarray:
     """blend * guidance + (1 - blend) * (position + velocity), folded into [0, period].
 
-    Elementwise, so one call moves a single particle or a block of rows.
+    Elementwise, so one call moves a single particle or a block of rows. The
+    result overwrites position, which is returned; gwo_position is
+    overwritten on the way.
     """
     if not 0 <= blend <= 1:
         raise ValueError(f"blend must lie in [0, 1], got {blend}")
-    proposal = blend * gwo_position + (1.0 - blend) * (position + velocity)
-    return _fold_position(proposal, period)
+    # each product and the sum commute, so the in-place forms are bit for
+    # bit the plain expression
+    gwo_position *= blend
+    position += velocity
+    position *= 1.0 - blend
+    gwo_position += position
+    _fold_position(gwo_position, period, position)
+    return position
 
 
 def swarm_diversity(positions: Sequence[Sequence[float]] | np.ndarray) -> float:
@@ -379,7 +411,9 @@ def swarm_diversity(positions: Sequence[Sequence[float]] | np.ndarray) -> float:
     points = np.asarray(positions, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("diversity undefined: need at least two particles")
-    return float(pdist(points).mean())
+    distances = pdist(points)
+    # the reduce and division that mean() runs, without its Python wrapper
+    return float(np.add.reduce(distances) / distances.size)
 
 
 def mutation_sigma(config: OptimizerConfig, diversity: float, m: int) -> float:
@@ -394,15 +428,22 @@ def inject_mutation(
     """Perturb every coordinate of every row of positions by N(0, sigma^2),
     then fold the result into [0, period], in place.
 
-    The rows draw their kicks from rng in row order. Personal bests and
-    velocities are left untouched; only positions move.
+    The rows draw their kicks from rng in row order, one normal draw per
+    block of rows: a (k, n) draw takes the same values from the stream as k
+    draws of n. Personal bests and velocities are left untouched; only
+    positions move.
     """
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    # row by row: whole-swarm kicks and their temporaries raised peak memory
-    # by about 3 MB at 5000 tasks, and mutation is too rare to gain from them
-    for row in positions:
-        row[:] = _fold_position(row + rng.normal(0.0, sigma, row.shape[0]), period)
+    # in blocks of rows, as the move runs: at 8x3 one draw kicks the whole
+    # swarm in about a tenth of the time that a draw per row takes, and at
+    # 5000 tasks a block is one row, so the kicks hold a row's worth at most
+    block = max(1, _BLOCK_COORDS // positions.shape[1])
+    for start in range(0, positions.shape[0], block):
+        rows = positions[start : start + block]
+        kicks = rng.normal(0.0, sigma, rows.shape)
+        kicks += rows
+        _fold_position(kicks, period, rows)
 
 
 def _fitness_table(n: int, m: int) -> np.ndarray | None:
@@ -443,7 +484,7 @@ def _evaluate_swarm(
         return _map_and_score(positions, etc, threshold, beta)
     keys = decode_position(positions, etc.m) @ etc.m ** np.arange(positions.shape[1])
     fit = table[keys]
-    fresh = np.flatnonzero(np.isnan(fit))
+    fresh = np.isnan(fit).nonzero()[0]
     if fresh.size:
         fit[fresh] = _map_and_score(positions[fresh], etc, threshold, beta)
         table[keys[fresh]] = fit[fresh]
@@ -494,6 +535,68 @@ def initialize_swarm(
     )
 
 
+def _move_swarm(
+    state: SwarmState,
+    config: OptimizerConfig,
+    rng: np.random.Generator,
+    blend: float,
+    a: float,
+    period: float,
+) -> None:
+    """Move every row of state.positions, and state.velocities with them, in place.
+
+    The move runs over blocks of rows, one call per update rule and block.
+    The config fixes which rules a run uses, and so its draws. Pure PSO
+    (lambda_max = 0) only updates velocities and moves by them, drawing r1
+    and r2 (2n per particle). Pure GWO (lambda_min = 1) only moves to the
+    guidance, drawing A and C (6n), and its velocities stay zero. Every
+    other run does both and blends them, drawing A, C, r1 and r2 (8n), even
+    at a step whose blend weight is 0 or 1: the zero-weighted term adds
+    only a signed zero, and the fold maps -0.0 and 0.0 alike to 0.0. Each
+    block fills its rows of draws with one rng.random call, in row order,
+    so every particle gets the same uniforms whatever the block size.
+    """
+    positions = state.positions
+    swarm, n = positions.shape
+    # tested on the config, not on the blend: a lambda_min just below 1
+    # rounds the early steps' blend to 1.0, and later steps still read the
+    # velocities
+    pure_pso = config.lambda_max == 0.0
+    pure_gwo = config.lambda_min == 1.0
+    # pure PSO reads alpha's offsets only
+    leaders = state.leaders[:1] if pure_pso else state.leaders
+    # a row of draws holds A (3n, leader by leader) and C (3n) if the run
+    # uses the guidance, then r1 (n) and r2 (n) if it uses the velocities
+    guide_width = 0 if pure_pso else 6 * n
+
+    block = max(1, _BLOCK_COORDS // n)
+    draws = np.empty((min(block, swarm), guide_width + (0 if pure_gwo else 2 * n)))
+    for start in range(0, swarm, block):
+        rows = slice(start, min(start + block, swarm))
+        block_draws = draws[: rows.stop - start]
+        rng.random(out=block_draws)
+        position = positions[rows]
+        offsets = leader_offsets(position, leaders, period)
+        if pure_gwo:
+            guide = gwo_guidance(position, offsets, a, block_draws)
+            _fold_position(guide, period, position)
+            continue
+        velocity = velocity_update(
+            position,
+            state.velocities[rows],
+            state.personal_best_positions[rows],
+            offsets[:, 0],
+            config,
+            block_draws[:, guide_width:],
+            period,
+        )
+        if pure_pso:
+            _fold_position(position + velocity, period, position)
+        else:
+            guide = gwo_guidance(position, offsets, a, block_draws[:, :guide_width])
+            combined_update(position, guide, blend, velocity, period)
+
+
 def step(
     state: SwarmState,
     etc: EtcMatrix,
@@ -508,75 +611,31 @@ def step(
     evaluations. The new leaders are the first three of a stable sort by
     fitness of the old leaders, then the rows in row order: the classic
     cascade, which pushes each row through and promotes only a strictly
-    lower fitness, keeps the same three. The move runs over blocks of rows,
-    one array expression per update rule.
-
-    The config fixes which rules a run uses, and so its draws. Pure PSO
-    (lambda_max = 0) only updates velocities and moves by them, drawing r1
-    and r2 (2n per particle). Pure GWO (lambda_min = 1) only moves to the
-    guidance, drawing A and C (6n), and its velocities stay zero. Every
-    other run does both and blends them, drawing A, C, r1 and r2 (8n), even
-    at a step whose blend weight is 0 or 1: the zero-weighted term adds
-    only a signed zero, and the fold maps -0.0 and 0.0 alike to 0.0. Each
-    block fills its rows of draws with one rng.random call, in row order,
-    so every particle gets the same uniforms whatever the block size.
+    lower fitness, keeps the same three. The move (_move_swarm) writes the
+    new positions and velocities in place, and its buffers are freed before
+    the swarm is evaluated.
     """
     t = state.iteration + 1
     m = etc.m
     positions = state.positions
-    swarm, n = positions.shape
     diversity = swarm_diversity(positions)
     mutated = diversity < config.d_min
     if mutated:
         inject_mutation(positions, mutation_sigma(config, diversity, m), rng, m)
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
-    # tested on the config, not on lam: a lambda_min just below 1 rounds the
-    # early steps' lam to 1.0, and later steps still read the velocities
-    pure_pso = config.lambda_max == 0.0
-    pure_gwo = config.lambda_min == 1.0
-    # a row of draws holds A (3n, leader by leader) and C (3n) if the run
-    # uses the guidance, then r1 (n) and r2 (n) if it uses the velocities
-    guide_width = 0 if pure_pso else 6 * n
-
-    block = max(1, _BLOCK_COORDS // n)
-    draws = np.empty((min(block, swarm), guide_width + (0 if pure_gwo else 2 * n)))
-    for start in range(0, swarm, block):
-        rows = slice(start, min(start + block, swarm))
-        block_draws = draws[: rows.stop - start]
-        rng.random(out=block_draws)
-        if pure_gwo:
-            guide = gwo_guidance(positions[rows], state.leaders, a, block_draws, m)
-            positions[rows] = _fold_position(guide, m)
-            continue
-        velocity = velocity_update(
-            positions[rows],
-            state.velocities[rows],
-            state.personal_best_positions[rows],
-            state.leaders[0],
-            config,
-            block_draws[:, guide_width:],
-            m,
-        )
-        if pure_pso:
-            positions[rows] = _fold_position(positions[rows] + velocity, m)
-        else:
-            guide = gwo_guidance(
-                positions[rows], state.leaders, a, block_draws[:, :guide_width], m
-            )
-            positions[rows] = combined_update(positions[rows], guide, lam, velocity, m)
-        state.velocities[rows] = velocity
+    _move_swarm(state, config, rng, lam, a, m)
 
     fit = _evaluate_swarm(positions, etc, state.threshold, config.beta, state.fitness_table)
     improved = fit < state.personal_best_fitness
     state.personal_best_positions[improved] = positions[improved]
     state.personal_best_fitness[improved] = fit[improved]
     # delta only falls, so no row at or above it now can become a leader
-    entrants = np.flatnonzero(fit < state.leader_fitness[2])
+    entrants = (fit < state.leader_fitness[2]).nonzero()[0]
     if entrants.size:
         pool = np.concatenate([state.leader_fitness, fit[entrants]])
         # stable: the default sort may rank tied fitnesses in any order
-        top = np.argsort(pool, kind="stable")[:3]
+        top = pool.argsort(kind="stable")[:3]
         state.leaders = np.concatenate([state.leaders, positions[entrants]])[top]
         state.leader_fitness = pool[top]
     state.iteration = t
@@ -584,7 +643,7 @@ def step(
         IterationStats(
             iteration=t,
             best_fitness=float(state.leader_fitness[0]),
-            mean_fitness=float(fit.mean()),
+            mean_fitness=float(np.add.reduce(fit) / fit.size),
             diversity=diversity,
             blend_weight=lam,
             gwo_a=a,

@@ -147,6 +147,11 @@ def test_load_metrics_keep_their_checks_for_scalars_and_arrays(shape):
     zero_row.reshape(-1, loads_shape[-1])[-1] = 0.0
     with pytest.raises(ValueError, match="undefined CV: zero mean load"):
         coefficient_of_variation(zero_row)
+    # score_loads checks the zero mean and beta only; the rest follows from them
+    with pytest.raises(ValueError, match="undefined CV: zero mean load"):
+        score_loads(zero_row, 1.0)
+    with pytest.raises(ValueError, match="beta must be non-negative"):
+        score_loads(np.ones(loads_shape), -1.0)
     with pytest.raises(ValueError, match="cv must be non-negative"):
         balance_optimality_index(spoil(0.5, -0.1))
     for bad in (0.0, -1.0):

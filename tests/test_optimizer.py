@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -27,6 +28,7 @@ from swarmsched.optimizer import (
     gwo_guidance,
     initialize_swarm,
     inject_mutation,
+    leader_offsets,
     mutation_sigma,
     run,
     run_pure_gwo,
@@ -47,6 +49,17 @@ def guidance_draws(n, a=0.0, c=0.0):
 def velocity_draws(n, r1=0.0, r2=0.0):
     """One particle's per-step velocity draws as a (1, 2n) block: r1 (n), then r2 (n)."""
     return np.concatenate([np.full(n, r1), np.full(n, r2)])[np.newaxis]
+
+
+def velocity(positions, velocities, personal_bests, global_best, config, draws, period):
+    """velocity_update pulled toward global_best, whose offsets it takes as a step computes them."""
+    alpha_offsets = leader_offsets(positions, global_best[np.newaxis], period)[:, 0]
+    return velocity_update(positions, velocities, personal_bests, alpha_offsets, config, draws, period)
+
+
+def guidance(positions, leaders, a, draws, period):
+    """gwo_guidance toward leaders, whose offsets it takes as a step computes them."""
+    return gwo_guidance(positions, leader_offsets(positions, leaders, period), a, draws)
 
 
 # ---------------------------------------------------------------- config
@@ -125,9 +138,10 @@ PERIOD = 16
 def test_velocity_update_forced_draws():
     # w=1, c1=c2=1, r1=r2=1, V=0, X=0, P=2, G=4: v = (2-0) + (4-0) = 6
     cfg = OptimizerConfig(inertia=1.0, c1=1.0, c2=1.0, v_max=10.0)
-    out = velocity_update(
+    velocities = np.zeros((1, 2))
+    out = velocity(
         np.zeros((1, 2)),
-        np.zeros((1, 2)),
+        velocities,
         np.full((1, 2), 2.0),
         np.full(2, 4.0),
         cfg,
@@ -135,11 +149,12 @@ def test_velocity_update_forced_draws():
         PERIOD,
     )
     npt.assert_allclose(out, [[6.0, 6.0]])
+    assert out is velocities  # the new velocities overwrite the old
 
 
 def test_velocity_update_clamps_to_v_max():
     cfg = OptimizerConfig(inertia=1.0, c1=1.0, c2=1.0, v_max=5.0)
-    out = velocity_update(
+    out = velocity(
         np.zeros((1, 2)),
         np.zeros((1, 2)),
         np.full((1, 2), 2.0),
@@ -154,7 +169,7 @@ def test_velocity_update_clamps_to_v_max():
 def test_velocity_update_keeps_inertia_only_when_pulls_vanish():
     cfg = OptimizerConfig(inertia=0.7, c1=1.5, c2=1.5, v_max=10.0)
     positions = np.array([[1.0, -2.0]])
-    out = velocity_update(
+    out = velocity(
         positions,
         np.array([[2.0, 2.0]]),
         positions.copy(),
@@ -173,7 +188,7 @@ LEADERS = np.array([[4.0], [2.0], [0.0]])
 def test_gwo_guidance_full_step_lands_on_origin():
     # a=1 with A draws of 1 gives A=1; C draws of 0.5 give C=1; X=0 so each
     # leader maps to 0
-    out = gwo_guidance(
+    out = guidance(
         np.array([[0.0]]),
         LEADERS,
         a=1.0,
@@ -184,7 +199,7 @@ def test_gwo_guidance_full_step_lands_on_origin():
 
 
 def test_gwo_guidance_zero_a_is_leader_centroid():
-    out = gwo_guidance(
+    out = guidance(
         np.array([[7.0]]),
         LEADERS,
         a=0.0,
@@ -196,7 +211,7 @@ def test_gwo_guidance_zero_a_is_leader_centroid():
 
 def test_gwo_guidance_fixed_point_at_converged_leaders():
     x = np.array([3.0, -1.0])
-    out = gwo_guidance(
+    out = guidance(
         x[np.newaxis],
         np.stack([x, x, x]),
         a=1.7,
@@ -212,7 +227,7 @@ def test_gwo_guidance_draw_order_is_a_then_c():
     # guided point x + D - A * |C * D| is its own leader and the mean is
     # (4 + 2 + 0) / 3. The reversed layout (A=-1, C=2) would give
     # x + D + 2|D| over D = 3, 1, -1: 16/3.
-    out = gwo_guidance(
+    out = guidance(
         np.array([[1.0]]),
         LEADERS,
         a=1.0,
@@ -238,15 +253,15 @@ def test_gwo_guidance_consumes_exactly_two_draws():
     leaders = np.array([np.ones(n), np.full(n, 2.0), np.full(n, 3.0)])
 
     def guide(draws):
-        return gwo_guidance(positions, leaders, a=1.0, draws=draws, period=PERIOD)
+        return guidance(positions, leaders, a=1.0, draws=draws, period=PERIOD)
 
-    def velocity(draws):
-        return velocity_update(
+    def pull(draws):
+        return velocity(
             positions, np.zeros((1, n)), np.ones((1, n)), np.full(n, 2.0), cfg, draws, PERIOD
         )
 
     for rule, base in ((guide, guidance_draws(n, a=0.3, c=0.3)),
-                       (velocity, velocity_draws(n, r1=0.3, r2=0.3))):
+                       (pull, velocity_draws(n, r1=0.3, r2=0.3))):
         for column in range(base.shape[1]):
             moved = base.copy()
             moved[0, column] = 0.9
@@ -255,12 +270,14 @@ def test_gwo_guidance_consumes_exactly_two_draws():
 
 def test_gwo_guidance_rejects_negative_a():
     with pytest.raises(ValueError, match="non-negative"):
-        gwo_guidance(np.zeros((1, 1)), np.ones((3, 1)), -0.1, guidance_draws(1), PERIOD)
+        gwo_guidance(np.zeros((1, 1)), np.ones((1, 3, 1)), -0.1, guidance_draws(1))
 
 
 def test_combined_update_blends_and_boxes():
-    out = combined_update(np.array([2.0]), np.array([4.0]), 0.5, np.array([0.0]), period=PERIOD)
+    position = np.array([2.0])
+    out = combined_update(position, np.array([4.0]), 0.5, np.array([0.0]), period=PERIOD)
     npt.assert_allclose(out, [3.0])
+    assert out is position  # the move overwrites the position
     # blend 0 is a pure velocity move, blend 1 pure guidance
     npt.assert_allclose(
         combined_update(np.array([2.0]), np.array([4.0]), 0.0, np.array([1.0]), PERIOD), [3.0]
@@ -298,12 +315,14 @@ def test_one_update_keeps_uniform_decodes_uniform():
     for a in (0.0, 1.0, 2.0):
         # a hybrid row's 8n draws, of which guidance reads the first 6n
         draws = rng.random((1, 8 * n))[:, : 6 * n]
-        guide = gwo_guidance(position, np.stack(leaders), a, draws, m)
-        proposals[f"guidance at a={a}"] = combined_update(position, guide, 1.0, np.zeros(n), m)
+        guide = guidance(position, np.stack(leaders), a, draws, m)
+        proposals[f"guidance at a={a}"] = combined_update(
+            position.copy(), guide, 1.0, np.zeros(n), m
+        )
     config = OptimizerConfig(v_max=10.0 * m)
     draws = rng.random((1, 8 * n))[:, 6 * n :]
-    velocity = velocity_update(position, np.zeros((1, n)), pbest, gbest, config, draws, m)
-    proposals["velocity"] = combined_update(position, np.zeros(n), 0.0, velocity, m)
+    moved = velocity(position, np.zeros((1, n)), pbest, gbest, config, draws, m)
+    proposals["velocity"] = combined_update(position.copy(), np.zeros((1, n)), 0.0, moved, m)
     for label, proposal in proposals.items():
         shares = np.bincount(decode_position(proposal[0], m), minlength=m) / n
         npt.assert_allclose(shares, 0.25, atol=0.03, err_msg=label)
@@ -359,6 +378,35 @@ def test_inject_mutation_is_deterministic_per_seed():
 def test_inject_mutation_rejects_nonpositive_sigma():
     with pytest.raises(ValueError, match="sigma"):
         inject_mutation(np.zeros((1, 1)), 0.0, np.random.default_rng(0), period=PERIOD)
+
+
+class CountingNormals:
+    """Wraps a Generator and counts its normal calls; it has no other method."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.normal_calls = 0
+
+    def normal(self, *args, **kwargs):
+        self.normal_calls += 1
+        return self._rng.normal(*args, **kwargs)
+
+
+def test_inject_mutation_kicks_each_block_as_its_rows_one_by_one():
+    # 1500 tasks kick a swarm of 7 in 4 blocks of at most two rows, one
+    # normal draw per block; the kicks are the per-row draws bit for bit
+    n, swarm, sigma = 1500, 7, 0.4
+    start = np.random.default_rng(1).uniform(0.0, PERIOD, (swarm, n))
+    positions = start.copy()
+    generator = np.random.default_rng(2)
+    rng = CountingNormals(generator)
+    inject_mutation(positions, sigma, rng, PERIOD)
+    assert rng.normal_calls == 4
+    twin = np.random.default_rng(2)
+    for row, moved in zip(start, positions):
+        kicked = row + twin.normal(0.0, sigma, n)
+        npt.assert_array_equal(moved, kicked - PERIOD * np.floor(kicked / PERIOD))
+    assert generator.bit_generator.state == twin.bit_generator.state
 
 
 # ------------------------------------------------------- swarm lifecycle
@@ -678,20 +726,29 @@ def test_hybrid_differs_from_both_ablations():
     assert hybrid_means != [row.mean_fitness for row in gwo_log.rows]
 
 
-UPDATE_RULES = ("gwo_guidance", "velocity_update", "combined_update")
+# each update rule's name, and the positions of the arguments its docstring
+# says it overwrites
+UPDATE_RULES = {
+    "gwo_guidance": {1},  # offsets
+    "velocity_update": {1},  # velocities
+    "combined_update": {0, 1},  # position and gwo_position
+}
 
 
 def count_update_calls(monkeypatch):
-    """Count each update rule's calls from step, checking that none writes into its inputs."""
+    """Count each update rule's calls from step, checking that none writes into any other input."""
     calls = dict.fromkeys(UPDATE_RULES, 0)
 
     def counting(name, rule):
         def counted(*args):
-            arrays = [arg for arg in args if isinstance(arg, np.ndarray)]
-            before = [array.copy() for array in arrays]
+            inputs = {
+                i: arg.copy()
+                for i, arg in enumerate(args)
+                if isinstance(arg, np.ndarray) and i not in UPDATE_RULES[name]
+            }
             result = rule(*args)
-            for array, copy in zip(arrays, before):
-                npt.assert_array_equal(array, copy, err_msg=f"{name} wrote into an input")
+            for i, copy in inputs.items():
+                npt.assert_array_equal(args[i], copy, err_msg=f"{name} wrote into input {i}")
             calls[name] += 1
             return result
 
@@ -756,6 +813,28 @@ class CountingGenerator:
 # uniforms per task in a particle-step: A and C (6n) for the guidance, r1
 # and r2 (2n) for the velocities
 DRAWS_PER_TASK = {"hybrid": 8, "pso": 2, "gwo": 6}
+
+
+# the default floor leaves a fresh swarm alone; a huge one forces the kicks
+@pytest.mark.parametrize("d_min, mutates", [(None, False), (1e9, True)])
+def test_one_step_at_5000_tasks_peaks_under_a_mebibyte(d_min, mutates):
+    # a block is one row of 5000 coordinates, so the peak is the move's: one
+    # row's 8n draws and (1, 3, n) leader offsets with their work arrays, which
+    # are freed before the swarm is mapped and scored
+    workload = generate_synthetic(SyntheticSpec(5000, seed=1))
+    etc = build_etc(workload, standard_fleet(8))
+    cfg = OptimizerConfig(swarm_size=20, max_iterations=2, d_min=d_min, seed=1).resolve(etc)
+    rng = np.random.default_rng(cfg.seed)
+    state = initialize_swarm(etc, cfg, rng)
+    log = ConvergenceLog()
+    tracemalloc.start()
+    try:
+        step(state, etc, cfg, rng, log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log.rows[-1].mutated == mutates
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS.values(), ids=BIT_GENERATORS.keys())
