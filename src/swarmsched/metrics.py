@@ -11,11 +11,7 @@ from .domain import EtcMatrix, check_assignment
 
 __all__ = [
     "MetricsReport",
-    "throughput",
     "load_vector",
-    "coefficient_of_variation",
-    "balance_optimality_index",
-    "fitness",
     "default_beta",
     "score_loads",
     "evaluate_assignment",
@@ -33,67 +29,11 @@ class MetricsReport:
     fitness: float
 
 
-def throughput(n: int, makespan_s: float) -> float:
-    """Tasks completed per second of schedule length."""
-    if makespan_s == 0:
-        raise ValueError("throughput undefined for zero makespan")
-    return n / makespan_s
-
-
 def load_vector(assignment: Sequence[int] | np.ndarray, etc: EtcMatrix) -> np.ndarray:
     """Per-VM busy time: sum of the ETCs of the tasks assigned to each VM."""
     vm_of = check_assignment(assignment, etc.n, etc.m)
     chosen = etc.entries[np.arange(etc.n), vm_of]
     return np.bincount(vm_of, weights=chosen, minlength=etc.m)
-
-
-def coefficient_of_variation(loads: Sequence[float] | np.ndarray) -> float | np.ndarray:
-    """Standard deviation of VM loads over their mean.
-
-    Population form (divide by m, not m - 1): the fleet is the whole
-    population, not a sample from one. A 2-D input holds one load vector per
-    row and gives one CV per row.
-    """
-    arr = np.asarray(loads, dtype=float)
-    if arr.shape[-1] == 0:
-        raise ValueError("undefined CV: no loads")
-    cv = _cv(arr)
-    return float(cv) if arr.ndim == 1 else cv
-
-
-def _cv(loads: np.ndarray) -> np.ndarray:
-    """CV along the last axis of a float array whose last axis is not empty."""
-    m = loads.shape[-1]
-    # the ufuncs that loads.mean(axis=-1) and loads.std(axis=-1) run, in
-    # their order, without their Python wrappers: bit for bit the same values
-    mean = np.add.reduce(loads, axis=-1, keepdims=True)
-    mean /= m
-    if (mean == 0).any():
-        raise ValueError("undefined CV: zero mean load")
-    spread = np.subtract(loads, mean)
-    np.multiply(spread, spread, out=spread)
-    std = np.sqrt(np.add.reduce(spread, axis=-1) / m)
-    return std / mean[..., 0]
-
-
-def balance_optimality_index(cv: float | np.ndarray) -> float | np.ndarray:
-    """1 / (1 + CV): 1.0 at perfect balance, falling toward 0 with imbalance."""
-    if np.less(cv, 0).any():
-        raise ValueError(f"cv must be non-negative, got {cv}")
-    return 1.0 / (1.0 + cv)
-
-
-def fitness(
-    makespan_s: float | np.ndarray, boi: float | np.ndarray, beta: float
-) -> float | np.ndarray:
-    """Makespan plus the imbalance penalty beta * (1 - BOI); lower is better."""
-    if not np.greater(makespan_s, 0).all():
-        raise ValueError(f"makespan_s must be positive, got {makespan_s}")
-    if not (np.greater(boi, 0) & np.less_equal(boi, 1)).all():
-        raise ValueError(f"boi must lie in (0, 1], got {boi}")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    return makespan_s + beta * (1.0 - boi)
 
 
 def default_beta(etc: EtcMatrix) -> float:
@@ -111,18 +51,28 @@ def score_loads(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Makespan, CV, BOI and fitness of per-VM loads, one of each per row.
 
-    Under back-to-back per-VM execution the makespan is the largest load. A
-    whole swarm scores in one pass from its (S, m) loads matrix; each row
-    gives bit for bit what the same row alone would, and what
-    coefficient_of_variation, balance_optimality_index and fitness give.
-    Loads are sums of non-negative ETCs, so the one check they need is the
-    CV's zero mean: with a positive mean the makespan is positive and the BOI
-    lies in (0, 1].
+    Under back-to-back per-VM execution the makespan is the largest load.
+    The CV is the population form (divide by m, not m - 1), since the fleet
+    is the whole population, not a sample from one. BOI = 1 / (1 + CV) is 1
+    at perfect balance, and fitness = makespan + beta * (1 - BOI), lower is
+    better. A whole swarm scores in one pass from its (S, m) loads matrix;
+    each row gives bit for bit what the same row alone would. Loads are sums
+    of non-negative ETCs, so the one check they need is the CV's zero mean:
+    with a positive mean the makespan is positive and the BOI lies in (0, 1].
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
+    m = loads.shape[-1]
     makespan_s = np.maximum.reduce(loads, axis=-1)
-    cv = _cv(loads)
+    # the ufuncs that loads.mean(axis=-1) and loads.std(axis=-1) run, in
+    # their order, without their Python wrappers: bit for bit the same values
+    mean = np.add.reduce(loads, axis=-1, keepdims=True)
+    mean /= m
+    if (mean == 0).any():
+        raise ValueError("undefined CV: zero mean load")
+    spread = np.subtract(loads, mean)
+    np.multiply(spread, spread, out=spread)
+    cv = np.sqrt(np.add.reduce(spread, axis=-1) / m) / mean[..., 0]
     boi = 1.0 / (1.0 + cv)
     return makespan_s, cv, boi, makespan_s + beta * (1.0 - boi)
 
@@ -135,7 +85,7 @@ def evaluate_assignment(
     makespan_s, cv, boi, fit = (float(v) for v in score_loads(loads, beta))
     return MetricsReport(
         makespan_s=makespan_s,
-        throughput_tps=throughput(etc.n, makespan_s),
+        throughput_tps=etc.n / makespan_s,
         cv=cv,
         boi=boi,
         fitness=fit,

@@ -30,11 +30,7 @@ from swarmsched.harness import (
     write_raw_csv,
 )
 from swarmsched.baselines import min_min
-from swarmsched.metrics import (
-    balance_optimality_index,
-    coefficient_of_variation,
-    load_vector,
-)
+from swarmsched.metrics import load_vector, score_loads
 from swarmsched.optimizer import (
     OptimizerConfig,
     blend_weight,
@@ -189,9 +185,9 @@ def test_criterion_4_load_balance(benchmark_result, capsys):
         for _ in range(1000):
             position = rng.uniform(0.0, 4.0, 800)
             _, loads = map_with_loads(position, etc, threshold)
-            mapped_cv.append(coefficient_of_variation(loads))
+            mapped_cv.append(score_loads(loads, 0.0)[1])
             raw = decode_position(position, 4)
-            raw_cv.append(coefficient_of_variation(load_vector(raw, etc)))
+            raw_cv.append(score_loads(load_vector(raw, etc), 0.0)[1])
         mapper_ok = float(np.mean(mapped_cv)) <= float(np.mean(raw_cv))
 
         passed = directional and mapper_ok
@@ -213,9 +209,9 @@ def test_criterion_5_formula_exactness(capsys):
         assert blend_weight(50, cfg) == 0.4
         assert gwo_coefficient_a(0, cfg) == 2.0
         assert gwo_coefficient_a(50, cfg) == 0.0
-        assert balance_optimality_index(0.0) == 1.0
-        assert balance_optimality_index(1.0) == 0.5
-        assert coefficient_of_variation([5.0, 5.0, 5.0, 5.0]) == 0.0
+        # score_loads gives (makespan, CV, BOI, fitness)
+        assert score_loads(np.array([5.0, 5.0, 5.0, 5.0]), 0.0)[1:3] == (0.0, 1.0)
+        assert score_loads(np.array([0.0, 2.0]), 0.0)[1:3] == (1.0, 0.5)
         passed = True
     finally:
         report(capsys, 5, "schedule and balance formulas exact at their endpoints", passed)

@@ -8,7 +8,7 @@ import pytest
 
 from swarmsched.domain import EtcMatrix, build_etc
 from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
-from swarmsched.metrics import coefficient_of_variation, load_vector
+from swarmsched.metrics import load_vector, score_loads
 
 from conftest import make_fleet, make_workload, random_instance
 
@@ -110,7 +110,7 @@ def test_capacity_mapping_no_worse_balance_on_average():
     for _ in range(50):
         position = rng.uniform(0, 4, 60)
         assignment, loads = map_with_loads(position, etc, threshold)
-        mapped_cv.append(coefficient_of_variation(loads))
+        mapped_cv.append(score_loads(loads, 0.0)[1])
         raw = decode_position(position, 4)
-        raw_cv.append(coefficient_of_variation(load_vector(raw, etc)))
+        raw_cv.append(score_loads(load_vector(raw, etc), 0.0)[1])
     assert np.mean(mapped_cv) <= np.mean(raw_cv)
