@@ -8,9 +8,10 @@ import math
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, make_dataclass, replace
+from itertools import combinations
 from pathlib import Path
 from time import perf_counter
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 from scipy.special import betainc
@@ -270,74 +271,48 @@ def run_experiment(plan: ExperimentPlan, jobs: int = 1) -> ExperimentResult:
     else:
         outcomes = [_execute_cell(cell) for cell in cells]
 
-    records: list[RunRecord] = []
-    convergence: dict[tuple[str, int], ConvergenceLog] = {}
-    for record, log in outcomes:
-        records.append(record)
-        if log is not None:
-            convergence[(record.scheduler, record.replicate)] = log
-
-    per_metric = _metric_arrays(records)
-    aggregates = _aggregate(plan, per_metric)
-    comparisons = _compare_all_pairs(plan, per_metric)
-    return ExperimentResult(plan, tuple(records), aggregates, tuple(comparisons), convergence)
-
-
-# The RunRecord columns that aggregates or t-tests read.
-_STAT_METRICS = (*_AGGREGATED_METRICS, "wall_ms")
-
-
-def _metric_arrays(records: Sequence[RunRecord]) -> dict[str, dict[str, np.ndarray]]:
-    """Each metric's values by scheduler, in record order: per_metric[metric][scheduler]."""
-    by_scheduler: dict[str, list[RunRecord]] = {}
-    for record in records:
-        by_scheduler.setdefault(record.scheduler, []).append(record)
-    return {
-        metric: {
-            name: np.asarray([getattr(record, metric) for record in group])
-            for name, group in by_scheduler.items()
-        }
-        for metric in _STAT_METRICS
+    records = tuple(record for record, _ in outcomes)
+    convergence = {
+        (record.scheduler, record.replicate): log
+        for record, log in outcomes
+        if log is not None
     }
 
+    # One (scheduler, replicate) matrix per metric. The cells run
+    # scheduler-major in plan order, so row s holds scheduler s's replicates.
+    shape = (len(plan.schedulers), plan.replicates)
+    matrices = {
+        metric: np.array([getattr(record, metric) for record in records]).reshape(shape)
+        for metric in (*_AGGREGATED_METRICS, "wall_ms")
+    }
 
-def _aggregate(
-    plan: ExperimentPlan, per_metric: Mapping[str, Mapping[str, np.ndarray]]
-) -> dict[str, AggregateResult]:
-    def stats(values: np.ndarray) -> MetricStats:
+    def stats(row: np.ndarray) -> MetricStats:
         # population std: with one replicate the spread is identically zero
-        return MetricStats(float(values.mean()), float(values.std()), float(np.median(values)))
+        return MetricStats(float(row.mean()), float(row.std()), float(np.median(row)))
 
-    return {
+    aggregates = {
         name: AggregateResult(
-            *(stats(per_metric[metric][name]) for metric in _AGGREGATED_METRICS),
-            wall_ms_mean=float(per_metric["wall_ms"][name].mean()),
+            *(stats(matrices[metric][s]) for metric in _AGGREGATED_METRICS),
+            wall_ms_mean=float(matrices["wall_ms"][s].mean()),
         )
-        for name in plan.schedulers
+        for s, name in enumerate(plan.schedulers)
     }
 
-
-def _compare_all_pairs(
-    plan: ExperimentPlan, per_metric: Mapping[str, Mapping[str, np.ndarray]]
-) -> list[PairwiseComparison]:
-    if plan.replicates < 2 or len(plan.schedulers) < 2:
-        return []
     comparisons = []
-    for metric in TTEST_METRICS:
-        arrays = per_metric[metric]
-        for i, a in enumerate(plan.schedulers):
-            for b in plan.schedulers[i + 1 :]:
-                diff = arrays[a] - arrays[b]
+    if plan.replicates > 1:
+        for metric in TTEST_METRICS:
+            matrix = matrices[metric]
+            for (i, a), (j, b) in combinations(enumerate(plan.schedulers), 2):
                 comparisons.append(
                     PairwiseComparison(
                         metric=metric,
                         a=a,
                         b=b,
-                        mean_diff=float(diff.mean()),
-                        ttest=paired_t_test(arrays[a], arrays[b]),
+                        mean_diff=float((matrix[i] - matrix[j]).mean()),
+                        ttest=paired_t_test(matrix[i], matrix[j]),
                     )
                 )
-    return comparisons
+    return ExperimentResult(plan, records, aggregates, tuple(comparisons), convergence)
 
 
 def paired_t_test(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> TTestResult:

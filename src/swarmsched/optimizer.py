@@ -268,6 +268,12 @@ _BLOCK_COORDS = 2**12
 _TABLE_PLANS = 2**16
 
 
+def _row_blocks(swarm: int, n: int) -> list[slice]:
+    """The blocks of rows, in row order, that a swarm of n-coordinate rows runs in."""
+    block = max(1, _BLOCK_COORDS // n)
+    return [slice(start, min(start + block, swarm)) for start in range(0, swarm, block)]
+
+
 def _wrap_offset(offset: np.ndarray, period: float, work: np.ndarray) -> None:
     """Reduce offsets modulo the period to their shortest form, |d| <= period / 2.
 
@@ -438,12 +444,11 @@ def inject_mutation(
     # in blocks of rows, as the move runs: at 8x3 one draw kicks the whole
     # swarm in about a tenth of the time that a draw per row takes, and at
     # 5000 tasks a block is one row, so the kicks hold a row's worth at most
-    block = max(1, _BLOCK_COORDS // positions.shape[1])
-    for start in range(0, positions.shape[0], block):
-        rows = positions[start : start + block]
-        kicks = rng.normal(0.0, sigma, rows.shape)
-        kicks += rows
-        _fold_position(kicks, period, rows)
+    for rows in _row_blocks(*positions.shape):
+        block = positions[rows]
+        kicks = rng.normal(0.0, sigma, block.shape)
+        kicks += block
+        _fold_position(kicks, period, block)
 
 
 def _fitness_table(n: int, m: int) -> np.ndarray | None:
@@ -459,9 +464,7 @@ def _map_and_score(
     """Map the rows block by block, then score all rows from their loads at once."""
     swarm, n = positions.shape
     loads = np.empty((swarm, etc.m))
-    block = max(1, _BLOCK_COORDS // n)
-    for start in range(0, swarm, block):
-        rows = slice(start, start + block)
+    for rows in _row_blocks(swarm, n):
         loads[rows] = map_with_loads(positions[rows], etc, threshold)[1]
     return score_loads(loads, beta)[3]
 
@@ -569,11 +572,10 @@ def _move_swarm(
     # uses the guidance, then r1 (n) and r2 (n) if it uses the velocities
     guide_width = 0 if pure_pso else 6 * n
 
-    block = max(1, _BLOCK_COORDS // n)
-    draws = np.empty((min(block, swarm), guide_width + (0 if pure_gwo else 2 * n)))
-    for start in range(0, swarm, block):
-        rows = slice(start, min(start + block, swarm))
-        block_draws = draws[: rows.stop - start]
+    blocks = _row_blocks(swarm, n)
+    draws = np.empty((blocks[0].stop, guide_width + (0 if pure_gwo else 2 * n)))
+    for rows in blocks:
+        block_draws = draws[: rows.stop - rows.start]
         rng.random(out=block_draws)
         position = positions[rows]
         offsets = leader_offsets(position, leaders, period)

@@ -244,17 +244,28 @@ def test_records_and_aggregates_survive_pickling():
     assert pickle.loads(pickle.dumps(aggregate)) == aggregate
 
 
-def test_aggregates_hand_checked_stats():
-    plan = small_plan()
+# ALGORITHMS order, and an order that is not, so the statistics must follow the plan
+SCHEDULER_ORDERS = [("hybrid", "rr", "minmin"), ("minmin", "rr", "hybrid")]
+
+
+@pytest.mark.parametrize("schedulers", SCHEDULER_ORDERS, ids="-".join)
+def test_aggregates_hand_checked_stats(schedulers):
+    # numpy over each scheduler's own records sees the same numbers in the
+    # same order as the harness, so the statistics are equal bit for bit
+    plan = small_plan(schedulers)
     result = run_experiment(plan)
+    assert list(result.aggregates) == list(plan.schedulers)
+    aggregated = [field.name for field in fields(MetricsReport) if field.name != "fitness"]
     for name in plan.schedulers:
-        values = np.array(
-            [r.makespan_s for r in result.records if r.scheduler == name]
-        )
+        own = [r for r in result.records if r.scheduler == name]
         agg = result.aggregates[name]
-        assert agg.makespan_s.mean == pytest.approx(values.mean())
-        assert agg.makespan_s.std == pytest.approx(values.std(ddof=0))
-        assert agg.makespan_s.median == pytest.approx(np.median(values))
+        for metric in aggregated:
+            values = np.array([getattr(r, metric) for r in own])
+            stats = getattr(agg, metric)
+            assert stats.mean == values.mean(), (name, metric)
+            assert stats.std == values.std(ddof=0), (name, metric)
+            assert stats.median == np.median(values), (name, metric)
+        assert agg.wall_ms_mean == np.array([r.wall_ms for r in own]).mean()
 
 
 def test_single_replicate_has_zero_spread_and_no_ttests():
@@ -295,21 +306,22 @@ def test_aggregates_do_not_depend_on_the_other_schedulers_in_the_plan():
         assert subset[name] == every[name], name
 
 
-def test_comparisons_cover_all_pairs_and_metrics():
-    plan = small_plan()
+@pytest.mark.parametrize("schedulers", SCHEDULER_ORDERS, ids="-".join)
+def test_comparisons_cover_all_pairs_and_metrics(schedulers):
+    plan = small_plan(schedulers)
     result = run_experiment(plan)
-    combos = {(c.metric, c.a, c.b) for c in result.comparisons}
-    expected = {
+    expected = [
         (metric, a, b)
         for metric in TTEST_METRICS
         for i, a in enumerate(plan.schedulers)
         for b in plan.schedulers[i + 1 :]
-    }
-    assert combos == expected
+    ]
+    assert [(c.metric, c.a, c.b) for c in result.comparisons] == expected
     for c in result.comparisons:
-        values_a = [getattr(r, c.metric) for r in result.records if r.scheduler == c.a]
-        values_b = [getattr(r, c.metric) for r in result.records if r.scheduler == c.b]
-        assert c.mean_diff == pytest.approx(np.mean(values_a) - np.mean(values_b))
+        values_a = np.array([getattr(r, c.metric) for r in result.records if r.scheduler == c.a])
+        values_b = np.array([getattr(r, c.metric) for r in result.records if r.scheduler == c.b])
+        assert c.mean_diff == (values_a - values_b).mean()
+        assert c.ttest == paired_t_test(values_a, values_b)
 
 
 def test_convergence_logs_only_for_population_schedulers():
