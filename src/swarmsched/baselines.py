@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import VmSpec, Workload, build_etc
-from .metrics import MetricsReport
+from .metrics import MetricsReport, evaluate_assignment
 from .optimizer import ConvergenceLog, OptimizerConfig, run
 
 __all__ = ["round_robin", "seeded_random", "min_min", "minmin_seeded_hybrid"]
@@ -98,11 +98,18 @@ def minmin_seeded_hybrid(
 
     The seed position is vm + 0.5 per coordinate: floor(|vm + 0.5|) mod m == vm
     for vm in [0, m), so the plain decode inverts it. All other particles start
-    at random, and the run proceeds exactly like the standard optimizer.
+    at random, and the run proceeds exactly like the standard optimizer. The
+    result is never worse than the Min-Min plan: that plan is returned, with
+    the run's log, when it scores a strictly lower fitness.
     """
     plan = min_min(workload, vms)
-    seed_position = plan.astype(float) + 0.5
-    return run(workload, vms, config, seeded_positions=[seed_position])
+    result = run(workload, vms, config, seeded_positions=[plan.astype(float) + 0.5])
+    # the capacity mapper reroutes tasks off a VM whose load would breach the
+    # ceiling, so when Min-Min's plan breaches it the swarm never scores it
+    etc = build_etc(workload, vms)
+    plan_report = evaluate_assignment(plan, etc, config.resolve(etc).beta)
+    _, report, log = result
+    return (plan, plan_report, log) if plan_report.fitness < report.fitness else result
 
 
 def _check(workload: Workload, vms: Sequence[VmSpec]) -> None:

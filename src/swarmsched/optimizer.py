@@ -66,7 +66,6 @@ __all__ = [
     "gwo_guidance",
     "combined_update",
     "swarm_diversity",
-    "mutation_sigma",
     "inject_mutation",
     "initialize_swarm",
     "step",
@@ -80,9 +79,9 @@ __all__ = [
 class OptimizerConfig:
     """Knobs for one optimizer run.
 
-    v_max, d_min, mutation_sigma_scale and beta default to None and are filled
-    in against a concrete problem by resolve(): their natural scales depend on
-    the VM count m and task count n.
+    v_max, d_min and beta default to None and are filled in against a
+    concrete problem by resolve(): their natural scales depend on the VM
+    count m and task count n.
 
     At the default coefficients the default v_max of 10m never binds. Every
     attractor offset is wrapped to at most m / 2, so for inertia w < 1 a
@@ -100,7 +99,6 @@ class OptimizerConfig:
     c2: float = 1.5
     v_max: float | None = None
     d_min: float | None = None
-    mutation_sigma_scale: float | None = None
     beta: float | None = None
     headroom_theta: float = 1.2
     seed: int = 0
@@ -125,8 +123,6 @@ class OptimizerConfig:
             raise ValueError(f"v_max must be positive, got {self.v_max}")
         if self.d_min is not None and self.d_min < 0:
             raise ValueError(f"d_min must be non-negative, got {self.d_min}")
-        if self.mutation_sigma_scale is not None and not self.mutation_sigma_scale > 0:
-            raise ValueError("mutation_sigma_scale must be positive")
         if self.beta is not None and self.beta < 0:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
         if not self.headroom_theta >= 1:
@@ -141,9 +137,6 @@ class OptimizerConfig:
             self,
             v_max=self.v_max if self.v_max is not None else 10.0 * m,
             d_min=self.d_min if self.d_min is not None else 0.05 * m * math.sqrt(n),
-            mutation_sigma_scale=(
-                self.mutation_sigma_scale if self.mutation_sigma_scale is not None else 0.1 * m
-            ),
             beta=self.beta if self.beta is not None else default_beta(etc),
         )
 
@@ -422,12 +415,6 @@ def swarm_diversity(positions: Sequence[Sequence[float]] | np.ndarray) -> float:
     return float(np.add.reduce(distances) / distances.size)
 
 
-def mutation_sigma(config: OptimizerConfig, diversity: float, m: int) -> float:
-    """Kick strength grows as diversity falls below the floor; never below 0.01*m."""
-    scale = config.mutation_sigma_scale * (1.0 - diversity / config.d_min)
-    return max(scale, 0.01 * m)
-
-
 def inject_mutation(
     positions: np.ndarray, sigma: float, rng: np.random.Generator, period: float
 ) -> None:
@@ -623,7 +610,9 @@ def step(
     diversity = swarm_diversity(positions)
     mutated = diversity < config.d_min
     if mutated:
-        inject_mutation(positions, mutation_sigma(config, diversity, m), rng, m)
+        # the kick grows as diversity falls below the floor, never below 0.01m
+        sigma = max(0.1 * m * (1.0 - diversity / config.d_min), 0.01 * m)
+        inject_mutation(positions, sigma, rng, m)
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)
     _move_swarm(state, config, rng, lam, a, m)

@@ -31,7 +31,6 @@ from swarmsched.optimizer import (
     IterationStats,
     blend_weight,
     gwo_coefficient_a,
-    mutation_sigma,
     swarm_diversity,
 )
 
@@ -160,7 +159,8 @@ def step(state, etc, config, rng, log):
     diversity = swarm_diversity(np.stack([p.position for p in state.particles]))
     mutated = False
     if diversity < config.d_min:
-        inject_mutation(state.particles, mutation_sigma(config, diversity, m), rng, m)
+        sigma = max(0.1 * m * (1.0 - diversity / config.d_min), 0.01 * m)
+        inject_mutation(state.particles, sigma, rng, m)
         mutated = True
     lam = blend_weight(t, config)
     a = gwo_coefficient_a(t, config)

@@ -8,7 +8,7 @@ import pytest
 
 from swarmsched.baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
 from swarmsched.domain import Workload, build_etc
-from swarmsched.encoding import capacity_threshold, decode_position
+from swarmsched.encoding import decode_position
 from swarmsched.metrics import evaluate_assignment, load_vector
 from swarmsched.optimizer import OptimizerConfig
 
@@ -82,20 +82,17 @@ def test_minmin_seed_position_decodes_back_to_plan():
 
 def test_minmin_seeded_hybrid_never_loses_to_its_seed():
     rng = np.random.default_rng(17)
-    workload, fleet = random_instance(rng, n=20, m=3)
-    etc = build_etc(workload, fleet)
-    cfg = OptimizerConfig(swarm_size=6, max_iterations=10, seed=4).resolve(etc)
-
-    plan = min_min(workload, fleet)
-    plan_loads = load_vector(plan, etc)
-    # premise: the greedy plan respects the capacity ceiling, so the seeded
-    # particle's first evaluation scores the plan itself
-    threshold = capacity_threshold(etc, cfg.headroom_theta)
-    assert np.all(plan_loads <= threshold)
-
-    plan_fitness = evaluate_assignment(plan, etc, cfg.beta).fitness
-    _, report, _ = minmin_seeded_hybrid(workload, fleet, cfg)
-    assert report.fitness <= plan_fitness + 1e-12
+    cases = [(*random_instance(rng, n=20, m=3), 4)]
+    # Min-Min's plan of these three tasks breaches the capacity ceiling, so
+    # the mapper reroutes the seeded particle and the swarm never scores it
+    breaching = make_workload([400.0, 500.0, 600.0]), make_fleet(np.linspace(500.0, 3000.0, 4))
+    cases += [(*breaching, seed) for seed in range(4)]
+    for workload, fleet, seed in cases:
+        etc = build_etc(workload, fleet)
+        cfg = OptimizerConfig(swarm_size=6, max_iterations=10, seed=seed).resolve(etc)
+        plan_fitness = evaluate_assignment(min_min(workload, fleet), etc, cfg.beta).fitness
+        _, report, _ = minmin_seeded_hybrid(workload, fleet, cfg)
+        assert report.fitness <= plan_fitness + 1e-12, seed
 
 
 def test_minmin_seeded_hybrid_is_deterministic():

@@ -293,11 +293,13 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "taskz" in err
 
 
-# Two bool knobs that are gone: d_min = 0 switches mutation off, and the
-# blend weight always weights the guidance term.
+# Knobs that are gone, each with a value as files held it: d_min = 0
+# switches mutation off, the blend weight always weights the guidance term,
+# and the mutation kick's scale is always 0.1m (manifests held null).
 DELETED_KNOBS = {
     "diversity_control": (False, "--no-diversity-control"),
     "blend_weight_on_pso": (True, "--blend-weight-on-pso"),
+    "mutation_sigma_scale": (None, "--mutation-sigma-scale"),
 }
 
 
@@ -448,7 +450,6 @@ KNOBS = {
     "c2": (["--c2", "1.75"], 1.75),
     "v_max": (["--v-max", "3.5"], 3.5),
     "d_min": (["--d-min", "0.25"], 0.25),
-    "mutation_sigma_scale": (["--mutation-sigma-scale", "0.4"], 0.4),
     "beta": (["--beta", "2.5"], 2.5),
     "headroom_theta": (["--theta", "1.35"], 1.35),
 }

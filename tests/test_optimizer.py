@@ -29,7 +29,6 @@ from swarmsched.optimizer import (
     initialize_swarm,
     inject_mutation,
     leader_offsets,
-    mutation_sigma,
     run,
     run_pure_gwo,
     run_pure_pso,
@@ -80,8 +79,6 @@ def test_config_validation():
         OptimizerConfig(v_max=0.0)
     with pytest.raises(ValueError, match="d_min"):
         OptimizerConfig(d_min=-1.0)
-    with pytest.raises(ValueError, match="mutation_sigma_scale"):
-        OptimizerConfig(mutation_sigma_scale=0.0)
     with pytest.raises(ValueError, match="beta"):
         OptimizerConfig(beta=-1.0)
     with pytest.raises(ValueError, match="seed"):
@@ -93,16 +90,14 @@ def test_resolve_fills_instance_scaled_defaults(tiny_workload, tiny_fleet):
     cfg = OptimizerConfig().resolve(etc)
     assert cfg.v_max == 20.0  # ten decode periods
     assert cfg.d_min == pytest.approx(0.05 * 2 * math.sqrt(2))
-    assert cfg.mutation_sigma_scale == pytest.approx(0.2)
     assert cfg.beta == pytest.approx(default_beta(etc))
 
 
 def test_resolve_keeps_explicit_values(tiny_workload, tiny_fleet):
     etc = build_etc(tiny_workload, tiny_fleet)
-    cfg = OptimizerConfig(v_max=3.0, d_min=1.0, mutation_sigma_scale=0.7, beta=9.0)
+    cfg = OptimizerConfig(v_max=3.0, d_min=1.0, beta=9.0)
     resolved = cfg.resolve(etc)
-    assert (resolved.v_max, resolved.d_min) == (3.0, 1.0)
-    assert (resolved.mutation_sigma_scale, resolved.beta) == (0.7, 9.0)
+    assert (resolved.v_max, resolved.d_min, resolved.beta) == (3.0, 1.0, 9.0)
 
 
 # ------------------------------------------------------------- schedules
@@ -342,12 +337,27 @@ def test_swarm_diversity_needs_two_particles():
         swarm_diversity([[1.0, 2.0]])
 
 
-def test_mutation_sigma_grows_as_diversity_collapses():
-    cfg = OptimizerConfig(mutation_sigma_scale=1.0, d_min=10.0)
-    assert mutation_sigma(cfg, diversity=5.0, m=2) == pytest.approx(0.5)
-    assert mutation_sigma(cfg, diversity=0.0, m=2) == pytest.approx(1.0)
-    # above the floor the kick bottoms out at 0.01 * m
-    assert mutation_sigma(cfg, diversity=20.0, m=2) == pytest.approx(0.02)
+def test_mutation_sigma_grows_as_diversity_collapses(monkeypatch):
+    _, _, etc = small_problem()
+    m = etc.m
+    sigmas = []
+    monkeypatch.setattr(
+        optimizer, "inject_mutation", lambda positions, sigma, rng, period: sigmas.append(sigma)
+    )
+    probe = initialize_swarm(etc, OptimizerConfig(seed=3).resolve(etc), np.random.default_rng(3))
+    # diversity at half the floor, then at 95% of it, where the kick
+    # bottoms out at 0.01m
+    for floor_share, want in [(0.5, 0.05 * m), (0.95, 0.01 * m)]:
+        d_min = swarm_diversity(probe.positions) / floor_share
+        cfg = OptimizerConfig(seed=3, d_min=d_min).resolve(etc)
+        rng = np.random.default_rng(cfg.seed)
+        log = ConvergenceLog()
+        step(initialize_swarm(etc, cfg, rng), etc, cfg, rng, log)
+        diversity = log.rows[0].diversity
+        assert log.rows[0].mutated and diversity / d_min == pytest.approx(floor_share)
+        sigma = sigmas.pop()
+        assert sigma == max(0.1 * m * (1.0 - diversity / d_min), 0.01 * m)
+        assert sigma == pytest.approx(want)
 
 
 def test_inject_mutation_moves_positions_only():
