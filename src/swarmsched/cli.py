@@ -15,6 +15,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .domain import VmSpec
 from .harness import (
     ALGORITHMS,
     ExperimentPlan,
@@ -63,6 +64,7 @@ _KNOB_HELP = {
 DEFAULTS: dict = {
     "tasks": 800,
     "vms": 4,
+    "mips": None,
     "min_length_mi": 100.0,
     "max_length_mi": 1000.0,
     "trace": None,
@@ -148,7 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_workload_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tasks", type=int, default=None,
                      help=_help("synthetic task count", "tasks"))
-    sub.add_argument("--vms", type=int, default=None, help=_help("fleet size", "vms"))
+    sub.add_argument("--vms", type=int, default=None,
+                     help=_help("fleet size, in identical 1000-MIPS VMs", "vms"))
+    sub.add_argument("--mips", default=None,
+                     help="comma-separated VM speeds in MIPS, one VM each; replaces --vms")
     sub.add_argument("--min-length", dest="min_length_mi", type=float, default=None,
                      help=_help("synthetic minimum length in MI", "min_length_mi"))
     sub.add_argument("--max-length", dest="max_length_mi", type=float, default=None,
@@ -192,8 +197,12 @@ def _config_value_ok(key: str, value: object) -> bool:
     default = DEFAULTS[key]
     if value is None:
         return default is None
-    if key == "algos" and isinstance(value, list):
-        return all(isinstance(name, str) for name in value)
+    if isinstance(value, list):
+        item = {"algos": str, "mips": (int, float)}.get(key)
+        # bool is a subclass of int
+        return item is not None and all(
+            isinstance(x, item) and not isinstance(x, bool) for x in value
+        )
     kind = _KNOB_KINDS.get(key) or (str if default is None else type(default))
     if isinstance(value, bool):  # bool is a subclass of int
         return kind is bool
@@ -216,6 +225,11 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key in ("min_length_mi", "max_length_mi"):
         if not math.isfinite(settings[key]):
             raise UsageError(f"{key} must be finite, got {settings[key]}")
+    if settings["mips"] is not None:
+        if getattr(args, "vms", None) is not None:
+            raise UsageError("--mips and --vms both give the fleet; use one of them")
+        settings["mips"] = _parse_mips(settings["mips"])
+        settings["vms"] = len(settings["mips"])
     if not 0 < settings["scale_mi_per_core_s"] < math.inf:
         raise UsageError(
             f"--scale must be finite and positive, got {settings['scale_mi_per_core_s']}"
@@ -229,6 +243,27 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return settings
+
+
+def _parse_mips(value: str | list) -> list[float]:
+    """The VM speeds of a --mips flag ("500,1000") or a mips config list."""
+    try:
+        speeds = [float(x) for x in (value.split(",") if isinstance(value, str) else value)]
+    except ValueError:
+        raise UsageError(
+            f"--mips must be a comma-separated list of numbers, got {value!r}"
+        ) from None
+    # the manifest is strict JSON, so no speed may be infinite either
+    if not speeds or not all(0 < speed < math.inf for speed in speeds):
+        raise UsageError(f"--mips must list one or more finite positive speeds, got {value!r}")
+    return speeds
+
+
+def _fleet(settings: dict) -> tuple[VmSpec, ...]:
+    """The fleet --mips lists, or else --vms identical VMs."""
+    if settings["mips"] is None:
+        return standard_fleet(settings["vms"])
+    return tuple(VmSpec(j, speed) for j, speed in enumerate(settings["mips"]))
 
 
 def _settings_config(settings: dict, seed: int) -> OptimizerConfig:
@@ -261,7 +296,7 @@ def _build_manifest(command: str, settings: dict) -> dict:
 
 def cmd_schedule(settings: dict) -> int:
     algo = settings["algo"]
-    fleet = standard_fleet(settings["vms"])
+    fleet = _fleet(settings)
     root_seed = settings["seed"]
     workload = replicate_workloads(_workload_source(settings), root_seed, 1)[0]
     config = _settings_config(settings, seed=scheduler_seed(root_seed, algo, 0))
@@ -285,7 +320,7 @@ def cmd_bench(settings: dict) -> int:
     if isinstance(algos, str):
         algos = tuple(name.strip() for name in algos.split(",") if name.strip())
     source = _workload_source(settings)
-    fleet = standard_fleet(settings["vms"])
+    fleet = _fleet(settings)
     config = _settings_config(settings, seed=settings["seed"])
     try:
         plan = ExperimentPlan(source, fleet, tuple(algos), replicates=settings["replicates"],

@@ -120,6 +120,30 @@ def test_zero_vms_is_a_usage_error(capsys):
     assert "vms" in err
 
 
+def test_mips_with_vms_is_a_usage_error(capsys):
+    code, _, err = run_cli(
+        ["schedule", "--algo", "rr", "--tasks", "4", "--vms", "2", "--mips", "500,1000"], capsys
+    )
+    assert code == 2
+    assert "--mips" in err and "--vms" in err
+
+
+@pytest.mark.parametrize("mips", ["0,1000", "500,-1", "", ",", "fast,1000", "1000,inf", "nan"])
+def test_bad_mips_is_a_usage_error(mips, capsys):
+    code, _, err = run_cli(["schedule", "--algo", "rr", "--tasks", "4", "--mips", mips], capsys)
+    assert code == 2
+    assert "--mips" in err
+
+
+@pytest.mark.parametrize("mips", [[], [500.0, 0.0], [500.0, True], ["500", "1000"]])
+def test_bad_mips_list_in_config_is_a_usage_error(mips, capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tasks": 4, "mips": mips}), encoding="utf-8")
+    code, _, err = run_cli(["schedule", "--algo", "rr", "--config", str(config)], capsys)
+    assert code == 2
+    assert "mips" in err
+
+
 def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"tasks": "800"}), encoding="utf-8")
@@ -223,6 +247,23 @@ def test_schedule_prints_metrics_json(capsys):
     assert payload["seed"] == 5
     assert payload["makespan_s"] > 0
     assert set(payload) >= {"makespan_s", "throughput_tps", "cv", "boi", "fitness"}
+
+
+def test_schedule_runs_on_the_fleet_mips_lists(capsys, tmp_path):
+    # Min-Min sends the one task to the fastest VM
+    code, out, _ = run_cli(
+        ["schedule", "--algo", "minmin", "--tasks", "1", "--mips", "500, 3000,1000"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["vms"] == 3
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"tasks": 1, "mips": [500, 3000, 1000]}), encoding="utf-8")
+    _, from_config, _ = run_cli(["schedule", "--algo", "minmin", "--config", str(config)], capsys)
+    assert from_config == out
+    _, identical, _ = run_cli(["schedule", "--algo", "minmin", "--tasks", "1", "--vms", "3"],
+                              capsys)
+    assert json.loads(identical)["makespan_s"] == pytest.approx(3 * payload["makespan_s"])
 
 
 def test_schedule_output_is_deterministic(capsys):
@@ -415,6 +456,28 @@ def test_bench_manifest_replays_identically(capsys, tmp_path):
     ttests_first = json.loads((first_dir / "ttests.json").read_text(encoding="utf-8"))
     ttests_second = json.loads((second_dir / "ttests.json").read_text(encoding="utf-8"))
     assert ttests_first == ttests_second
+
+
+def test_bench_manifest_of_a_mips_fleet_replays_identically(capsys, tmp_path):
+    first_dir = tmp_path / "first"
+    args = [
+        "bench", "--algos", "hybrid,rr", "--tasks", "10", "--mips", "500,1000,3000",
+        "--replicates", "2", "--seed", "3", "--swarm", "4", "--iterations", "5",
+        "--out", str(first_dir),
+    ]
+    assert run_cli(args, capsys)[0] == 0
+    manifest = json.loads((first_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["mips"] == [500.0, 1000.0, 3000.0]
+    assert manifest["config"]["vms"] == 3
+    second_dir = tmp_path / "second"
+    code, _, _ = run_cli(
+        ["bench", "--config", str(first_dir / "manifest.json"), "--out", str(second_dir)],
+        capsys,
+    )
+    assert code == 0
+    assert read_raw_without_wall(first_dir / "raw.csv") == read_raw_without_wall(
+        second_dir / "raw.csv"
+    )
 
 
 def test_bench_honors_output_dir_env_var(capsys, tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """Pinned outputs: small `bench` and `schedule` runs reproduce committed files.
 
-For a synthetic and a trace workload, one `bench` over all seven schedulers
-and one `schedule --algo hybrid` must give the files in
+For a synthetic and a trace workload on three identical VMs, and a
+synthetic workload on three VMs of 500, 1000 and 3000 MIPS, one `bench`
+over all seven schedulers and one `schedule --algo hybrid` must give the
+files in
 tests/data/pinned_outputs.json byte for byte: raw.csv and aggregates.json
 without their wall times, ttests.json, every convergence CSV, and the
 schedule JSON with its convergence CSV. A refactor must leave them
@@ -32,10 +34,11 @@ PINNED = DATA / "pinned_outputs.json"
 TRACE = DATA / "pinned_trace.csv"
 
 ALL_SCHEDULERS = "hybrid,pso,gwo,rr,minmin,minmin-hybrid,random"
-COMMON = ["--vms", "3", "--seed", "11", "--swarm", "4", "--iterations", "5"]
+COMMON = ["--seed", "11", "--swarm", "4", "--iterations", "5"]
 SOURCES = {
-    "synthetic": ["--tasks", "12"],
-    "trace": ["--trace", str(TRACE), "--limit", "14"],
+    "synthetic": ["--vms", "3", "--tasks", "12"],
+    "trace": ["--vms", "3", "--trace", str(TRACE), "--limit", "14"],
+    "heterogeneous": ["--mips", "500,1000,3000", "--tasks", "12"],
 }
 
 
