@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .domain import VmSpec, Workload, build_etc
+from .encoding import encode_plan
 from .metrics import MetricsReport, evaluate_assignment
 from .optimizer import ConvergenceLog, OptimizerConfig, run
 
@@ -96,17 +97,18 @@ def minmin_seeded_hybrid(
 ) -> tuple[np.ndarray, MetricsReport, ConvergenceLog]:
     """Hybrid run with one particle's start decoding exactly to the Min-Min plan.
 
-    The seed position is vm + 0.5 per coordinate: floor(|vm + 0.5|) mod m == vm
-    for vm in [0, m), so the plain decode inverts it. All other particles start
-    at random, and the run proceeds exactly like the standard optimizer. The
-    result is never worse than the Min-Min plan: that plan is returned, with
-    the run's log, when it scores a strictly lower fitness.
+    The seed position puts each task at the middle of its VM's arc
+    (encode_plan), which the decode maps back to that VM. All other
+    particles start at random, and the run proceeds exactly like the
+    standard optimizer. The result is never worse than the Min-Min plan:
+    that plan is returned, with the run's log, when it scores a strictly
+    lower fitness.
     """
     plan = min_min(workload, vms)
-    result = run(workload, vms, config, seeded_positions=[plan.astype(float) + 0.5])
+    etc = build_etc(workload, vms)
+    result = run(workload, vms, config, seeded_positions=[encode_plan(plan, etc.arcs)])
     # the capacity mapper reroutes tasks off a VM whose load would breach the
     # ceiling, so when Min-Min's plan breaches it the swarm never scores it
-    etc = build_etc(workload, vms)
     plan_report = evaluate_assignment(plan, etc, config.resolve(etc).beta)
     _, report, log = result
     return (plan, plan_report, log) if plan_report.fitness < report.fitness else result

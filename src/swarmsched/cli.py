@@ -199,7 +199,6 @@ def _config_value_ok(key: str, value: object) -> bool:
         return default is None
     if isinstance(value, list):
         item = {"algos": str, "mips": (int, float)}.get(key)
-        # bool is a subclass of int
         return item is not None and all(
             isinstance(x, item) and not isinstance(x, bool) for x in value
         )

@@ -92,6 +92,25 @@ class EtcMatrix:
         return self.entries.tolist()
 
     @cached_property
+    def arcs(self) -> np.ndarray | None:
+        """Inner edges of the VMs' speed arcs on [0, m), read-only; None if every VM is alike.
+
+        VM j owns the j-th arc, of length m * mips_j / sum(mips), so the
+        m - 1 edges between the arcs are m times the running speed shares.
+        The speeds are recovered from the columns, as the capacity threshold
+        recovers the share: column j sums to total_mi / mips_j. When every
+        column sums alike, every arc is a unit [j, j + 1), and None tells the
+        decode to take its plain path, floor(|x|) mod m.
+        """
+        column_sums = self.entries.sum(axis=0)
+        if np.all(column_sums == column_sums[0]):
+            return None
+        speeds = 1.0 / column_sums
+        edges = np.cumsum(speeds[:-1]) * (self.m / np.sum(speeds))
+        edges.flags.writeable = False
+        return edges
+
+    @cached_property
     def offsets(self) -> np.ndarray:
         """m * arange(n), read-only: task i's cost on VM j is entries.flat[offsets[i] + j]."""
         offsets = self.m * np.arange(self.n, dtype=np.int64)

@@ -1,5 +1,11 @@
 """Continuous-to-discrete decoding and capacity-aware task mapping.
 
+A coordinate x decodes through |x| mod m, a point on a circle of
+circumference m that the VMs' arcs cover in VM order. Each VM's arc is as
+long as its share of the fleet's speed, so a uniform spread of coordinates
+loads every VM for about the same time; on identical VMs the arcs are the
+unit intervals and the decode is floor(|x|) mod m.
+
 The mapper takes one position or a (k, n) block of them. It decodes the
 whole block at once and totals every row's per-VM loads in one weighted
 bincount. A row whose totals all stay within the capacity threshold never
@@ -17,17 +23,24 @@ from .domain import EtcMatrix
 
 __all__ = [
     "decode_position",
+    "encode_plan",
     "capacity_threshold",
     "map_with_loads",
 ]
 
 
-def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarray:
-    """Map continuous coordinates to VM indices: floor(|x_i|) mod m, elementwise.
+def decode_position(
+    position: Sequence[float] | np.ndarray, m: int, arcs: np.ndarray | None = None
+) -> np.ndarray:
+    """Map continuous coordinates to VM indices, elementwise.
 
-    The integer cast truncates, which floors a non-negative value, and fmod is
-    exact, so trunc(fmod(|x_i|, m)) is floor(|x_i|) mod m. The fmod runs only
-    if some |x_i| reaches m: below m, |x_i| is its own remainder.
+    Without arcs every VM's arc is a unit interval, and x_i decodes to
+    floor(|x_i|) mod m: the integer cast truncates, which floors a
+    non-negative value, and fmod is exact, so trunc(fmod(|x_i|, m)) is
+    floor(|x_i|) mod m. With arcs, the m - 1 ascending inner edges of
+    EtcMatrix.arcs, x_i decodes to the number of edges at or below
+    fmod(|x_i|, m). Either way the fmod runs only if some |x_i| reaches m:
+    below m, |x_i| is its own remainder.
     """
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
@@ -39,7 +52,22 @@ def decode_position(position: Sequence[float] | np.ndarray, m: int) -> np.ndarra
     if top >= m:
         # mod in float space, as |x| may pass int64; on x >= 0 fmod is mod bit for bit
         np.fmod(coords, m, out=coords)
-    return coords.astype(np.int64)
+    if arcs is None:
+        return coords.astype(np.int64)
+    return np.searchsorted(arcs, coords, side="right")
+
+
+def encode_plan(plan: Sequence[int] | np.ndarray, arcs: np.ndarray | None = None) -> np.ndarray:
+    """A position that decode_position maps back to plan: each task at its VM's arc middle.
+
+    arcs are EtcMatrix.arcs; without them the arcs are the unit intervals,
+    and VM j's middle is j + 0.5.
+    """
+    plan = np.asarray(plan, dtype=np.int64)
+    if arcs is None:
+        return plan + 0.5
+    edges = np.concatenate(([0.0], arcs, [len(arcs) + 1.0]))
+    return ((edges[:-1] + edges[1:]) / 2.0)[plan]
 
 
 def capacity_threshold(etc: EtcMatrix, headroom_theta: float) -> float:
@@ -75,7 +103,7 @@ def map_with_loads(
     what the single form gives.
     """
     m = etc.m
-    raw = decode_position(position, m)
+    raw = decode_position(position, m, etc.arcs)
     block = np.atleast_2d(raw)  # a view: settling its rows settles raw
     k = block.shape[0]
     # one flat gather: task i's cost on VM j is entry i * m + j

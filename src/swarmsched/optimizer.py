@@ -9,12 +9,15 @@ velocity refinement. When the swarm's diversity falls below the floor d_min,
 a Gaussian mutation reinflates it; d_min = 0 switches mutation off, since
 diversity is never negative.
 
-Positions decode through floor(|x|) mod m, so the update rules treat every
-coordinate as a point on a circle of circumference m (the decode period):
-offsets toward an attractor take their shortest way round the circle, and
-every new position folds back into [0, m). Plain differences, and an
-encircling distance measured from the origin, would instead pull coordinates
-toward the middle of the period and decodes toward the middle VMs.
+A coordinate decodes through |x| mod m, a point on a circle of
+circumference m (the decode period) that the VMs' arcs cover, each arc as
+long as its VM's share of the fleet's speed; on identical VMs the decode
+is floor(|x|) mod m. So the update rules treat every coordinate as a point
+on that circle: offsets toward an attractor take their shortest way round
+it, and every new position folds back into [0, m). Plain differences, and
+an encircling distance measured from the origin, would instead pull
+coordinates toward the middle of the period and decodes toward the middle
+VMs.
 
 The swarm lives in (S, n) matrices, one row per particle, and the leaders
 alpha, beta and delta in the rows of one (3, n) table. A step moves the
@@ -466,13 +469,14 @@ def _evaluate_swarm(
     """Fitness of every row, through the fitness table if any.
 
     Without a table every row is mapped and scored. With one, a row's key is
-    its decoded plan d read as the base-m number sum_i d_i * m**i. Only the
-    rows whose plan has no entry yet are mapped and scored, and their fitness
-    fills the table; the other rows read their fitness from it.
+    its plan d, decoded through the speed arcs as the mapper decodes it,
+    read as the base-m number sum_i d_i * m**i. Only the rows whose plan has
+    no entry yet are mapped and scored, and their fitness fills the table;
+    the other rows read their fitness from it.
     """
     if table is None:
         return _map_and_score(positions, etc, threshold, beta)
-    keys = decode_position(positions, etc.m) @ etc.m ** np.arange(positions.shape[1])
+    keys = decode_position(positions, etc.m, etc.arcs) @ etc.m ** np.arange(positions.shape[1])
     fit = table[keys]
     fresh = np.isnan(fit).nonzero()[0]
     if fresh.size:
@@ -501,8 +505,8 @@ def initialize_swarm(
             f"{len(seeded)} seeded positions exceed swarm_size {config.swarm_size}"
         )
     for i, seed in enumerate(seeded):
-        # folding would not do: floor(|x|) mod m sends -0.5 to VM 0, but its
-        # fold m - 0.5 to VM m - 1
+        # folding would not do: the decode reads |x|, so -0.5 decodes like
+        # 0.5, on VM 0's arc on identical VMs, but its fold m - 0.5 on VM m - 1's
         if seed.shape != (n,) or not np.all((seed >= 0) & (seed < m)):
             raise ValueError(
                 f"seeded position {i} must have shape ({n},) and every coordinate in [0, {m})"

@@ -8,8 +8,10 @@ weights the guidance (lambda_max > 0), then its r1 (n) and r2 (n) if it ever
 weights the velocities (lambda_min < 1). It then updates the particle, maps
 it and scores it from its loads with the scalar formulas. Nothing here calls
 into the code under test except the pieces both forms share by design: the
-schedules, diversity, mutation strength and load_vector. Positions are
-mapped by the sequential reference mapper, not by the block mapper.
+schedules, diversity, mutation strength, load_vector and EtcMatrix's speed
+arcs. Positions are decoded and mapped by the sequential reference mapper,
+whose arc decode counts edges coordinate by coordinate, not by the block
+mapper.
 
 The reference keeps its own global best, absorbed particle by particle from
 the personal-best updates, apart from the leader cascade, so that the oracle

@@ -8,7 +8,7 @@ import pytest
 
 from swarmsched.baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
 from swarmsched.domain import Workload, build_etc
-from swarmsched.encoding import decode_position
+from swarmsched.encoding import decode_position, encode_plan
 from swarmsched.metrics import evaluate_assignment, load_vector
 from swarmsched.optimizer import OptimizerConfig
 
@@ -75,9 +75,12 @@ def test_min_min_balances_two_equal_tasks():
 
 def test_minmin_seed_position_decodes_back_to_plan():
     rng = np.random.default_rng(5)
-    workload, fleet = random_instance(rng, n=12, m=4)
+    workload = make_workload(rng.uniform(100.0, 1000.0, 40))
+    fleet = make_fleet(np.linspace(500.0, 3000.0, 4))
+    etc = build_etc(workload, fleet)
     plan = min_min(workload, fleet)
-    npt.assert_array_equal(decode_position(plan.astype(float) + 0.5, 4), plan)
+    assert len(set(plan.tolist())) == 4  # every arc is seeded
+    npt.assert_array_equal(decode_position(encode_plan(plan, etc.arcs), 4, etc.arcs), plan)
 
 
 def test_minmin_seeded_hybrid_never_loses_to_its_seed():

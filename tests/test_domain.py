@@ -62,6 +62,28 @@ def test_etc_rows_matches_entries_and_is_cached():
     assert etc.rows is rows
 
 
+def test_etc_arcs_split_the_period_in_proportion_to_speed():
+    lengths = np.array([100.0, 500.0, 250.0])
+    etc = EtcMatrix(lengths[:, np.newaxis] / np.array([500.0, 1000.0, 2500.0]))
+    # 3 * (500, 1500) / 4000
+    npt.assert_allclose(etc.arcs, [0.375, 1.125], rtol=1e-15)
+    assert etc.arcs is etc.arcs
+    assert not etc.arcs.flags.writeable
+    # scale-5000x8's fleet: 500 to 3000 MIPS over 8 VMs
+    fleet = np.linspace(500.0, 3000.0, 8)
+    scale = EtcMatrix(lengths[:, np.newaxis] / fleet)
+    npt.assert_allclose(scale.arcs, 8 * np.cumsum(fleet)[:-1] / fleet.sum(), rtol=1e-14)
+    npt.assert_allclose(scale.arcs, [0.286, 0.776, 1.469, 2.367, 3.469, 4.776, 6.286], atol=5e-4)
+
+
+def test_etc_arcs_are_none_when_every_vm_is_alike():
+    # the decode then takes its plain path, floor(|x|) mod m
+    assert EtcMatrix(np.ones((3, 4))).arcs is None
+    assert EtcMatrix(np.array([[0.1], [0.3]])).arcs is None
+    lengths = np.array([[123.4], [5.0], [999.9]])
+    assert EtcMatrix(lengths / np.full(5, 1000.0)).arcs is None
+
+
 def test_etc_offsets_are_cached_read_only_and_per_matrix():
     three = EtcMatrix(np.ones((3, 4)))
     five = EtcMatrix(np.ones((5, 4)))

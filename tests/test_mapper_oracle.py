@@ -1,4 +1,4 @@
-"""The block capacity mapper against the sequential reference, bit for bit."""
+"""The block capacity mapper and its decodes against the sequential reference, bit for bit."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import reference_mapper as ref
 from swarmsched.domain import EtcMatrix
-from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
+from swarmsched.encoding import capacity_threshold, decode_position, encode_plan, map_with_loads
 
 
 def reference_block(positions, etc, threshold):
@@ -153,6 +153,103 @@ def test_block_decode_equals_the_mod_decode(case):
     npt.assert_array_equal(decoded, ref.decode(block, m))
     # the floor works in place on the decoder's own copy: even -0.0 stays as it was
     npt.assert_array_equal(block.view(np.int64), before.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=decode_blocks())
+def test_arc_decode_on_unit_edges_is_the_plain_decode(case):
+    # edges 1, ..., m - 1 make every arc a unit interval: the arc decode is
+    # then the same function as floor(|x|) mod m, not a second one
+    block, m = case
+    unit = np.arange(1.0, m)
+    npt.assert_array_equal(decode_position(block, m, unit).view(np.int64),
+                           decode_position(block, m).view(np.int64))
+    npt.assert_array_equal(ref.arc_decode(block, unit), ref.decode(block, m))
+
+
+@st.composite
+def speed_fleets(draw):
+    """EtcMatrix of a few tasks on m VMs of random speeds, or of one speed."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    identical = draw(st.booleans())
+    mips = np.full(m, 1000.0) if identical else rng.uniform(1.0, 5000.0, m)
+    etc = EtcMatrix(rng.uniform(100.0, 1000.0, (3, 1)) / mips)
+    if identical:
+        assert etc.arcs is None
+    return etc, rng
+
+
+@st.composite
+def arc_blocks(draw):
+    """(k, n) blocks on a fleet's speed arcs, some coordinates on an edge or far out."""
+    etc, rng = draw(speed_fleets())
+    m = etc.m
+    arcs = np.arange(1.0, m) if etc.arcs is None else etc.arcs
+    block = rng.uniform(0.0, m, (draw(st.integers(1, 8)), draw(st.integers(1, 30))))
+    edges = [*arcs.tolist(), *(-arcs).tolist(), *(arcs + 3 * m).tolist(),
+             float(m), -0.0, 1e300, float(np.nextafter(m, 0.0))]
+    flat = block.reshape(-1)
+    cells = st.integers(0, flat.size - 1)
+    for index, value in draw(st.lists(st.tuples(cells, st.sampled_from(edges)), max_size=12)):
+        flat[index] = value
+    return block, arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=arc_blocks())
+def test_arc_decode_counts_the_edges_at_or_below_each_point(case):
+    block, arcs = case
+    before = block.copy()
+    decoded = decode_position(block, len(arcs) + 1, arcs)
+    assert decoded.dtype == np.int64
+    npt.assert_array_equal(decoded, ref.arc_decode(block, arcs))
+    npt.assert_array_equal(block.view(np.int64), before.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fleet=speed_fleets(), n=st.integers(1, 40))
+def test_encode_plan_decodes_back_to_the_plan(fleet, n):
+    etc, rng = fleet
+    m = etc.m
+    plan = rng.integers(0, m, n)
+    position = encode_plan(plan, etc.arcs)
+    if etc.arcs is None:
+        npt.assert_array_equal(position, plan + 0.5)
+    # a seed must lie in [0, m), the interval the swarm starts in
+    assert np.all((position >= 0.0) & (position < m))
+    npt.assert_array_equal(decode_position(position, m, etc.arcs), plan)
+    arcs = etc.arcs
+    npt.assert_array_equal(
+        ref.decode(position, m) if arcs is None else ref.arc_decode(position, arcs), plan
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    m=st.integers(1, 8),
+    theta=st.sampled_from([1.0, 1.05, 1.2, 2.0]),
+    identical=st.booleans(),
+    heavy=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mapped_makespan_is_within_the_capacity_bound(n, m, theta, identical, heavy, seed):
+    # A task that keeps its VM stays under theta * share. A rerouted task
+    # goes to the least-loaded VM, whose load is at most share, since
+    # sum_j mips_j * load_j never exceeds the total MI. So no VM ends above
+    # max(theta * share, share + max ETC), whatever the decode proposed.
+    rng = np.random.default_rng(seed)
+    lengths = rng.lognormal(np.log(1000.0), 1.0, n) if heavy else rng.uniform(100.0, 1000.0, n)
+    mips = np.full(m, 1000.0) if identical else rng.uniform(500.0, 3000.0, m)
+    etc = EtcMatrix(lengths[:, np.newaxis] / mips)
+    share = lengths.sum() / mips.sum()
+    bound = max(theta * share, share + etc.entries.max())
+    positions = rng.uniform(0.0, m, (4, n))
+    # every task proposed onto VM 0 breaches as early as a plan can
+    positions[0] = 0.0
+    _, loads = map_with_loads(positions, etc, capacity_threshold(etc, theta))
+    assert loads.max() <= bound * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((3, 0))])

@@ -469,7 +469,10 @@ def test_initialize_swarm_ranks_tied_rows_in_row_order():
     workload, fleet, etc = small_problem()
     cfg = OptimizerConfig(swarm_size=3, seed=3).resolve(etc)
     plan = np.arange(etc.n) % etc.m
-    seeds = [plan + 0.25, plan + 0.5, plan + 0.75]
+    # a quarter, half and three quarters of the way along each task's VM arc
+    edges = np.concatenate(([0.0], etc.arcs, [etc.m]))
+    start, width = edges[plan], np.diff(edges)[plan]
+    seeds = [start + share * width for share in (0.25, 0.5, 0.75)]
     state = initialize_swarm(etc, cfg, np.random.default_rng(cfg.seed), seeds)
     assert len(set(state.personal_best_fitness.tolist())) == 1
     npt.assert_array_equal(state.leaders, np.stack(seeds))
@@ -954,7 +957,8 @@ def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():
     for _ in range(cfg.max_iterations):
         step(state, etc, cfg, rng, log)
         for position in state.positions:
-            key = int(np.dot(decode_position(position, etc.m), 3 ** np.arange(etc.n)))
+            plan = decode_position(position, etc.m, etc.arcs)
+            key = int(np.dot(plan, 3 ** np.arange(etc.n)))
             assignment, _ = map_with_loads(position, etc, threshold)
             assert state.fitness_table[key] == evaluate_assignment(assignment, etc, cfg.beta).fitness
         alpha_plan, _ = map_with_loads(state.leaders[0], etc, threshold)
