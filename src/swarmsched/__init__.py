@@ -18,7 +18,7 @@ from .metrics import *
 from .optimizer import *
 from .workload import *
 
-__version__ = "0.4.0"
+__version__ = "0.4.1"
 
 __all__ = [
     "__version__",

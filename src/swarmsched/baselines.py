@@ -35,19 +35,19 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     where completion time is the VM's ready time plus the task's ETC. Ties go
     to the lowest task id, then the lowest VM id.
 
-    The ETC is rank-1 (length / mips), and IEEE division and addition round
-    monotonically, so on every VM the shortest remaining task completes
-    first. The tasks are sorted once by (length, id), and a round takes the
-    earliest completion over the VMs for the shortest remaining task. The
-    pairs that tie with it form, on each VM, a prefix of the remaining tasks
-    in sorted order, and the round picks the lowest task id among them. Tasks
-    of equal length are interchangeable and so leave in id order: the round
-    steps over each run of them through one pointer. This is O(n log n + n·m)
-    and commits exactly the plan of the greedy over the whole ETC table.
+    The ETC is rank-1, as an EtcMatrix holds only lengths and speeds, and IEEE
+    division and addition round monotonically, so on every VM the shortest
+    remaining task completes first. The tasks are sorted once by (length, id),
+    and a round takes the earliest completion over the VMs for the shortest
+    remaining task. The pairs that tie with it form, on each VM, a prefix of
+    the remaining tasks in sorted order, and the round picks the lowest task id
+    among them. Tasks of equal length are interchangeable and so leave in id
+    order: the round steps over each run of them through one pointer. This is
+    O(n log n + n·m) and commits exactly the plan of the whole-table greedy.
     """
     etc = build_etc(workload, vms)
     rows = etc.rows
-    lengths = workload.lengths_mi()
+    lengths = etc.lengths_mi
     order = np.argsort(lengths, kind="stable")
     sorted_lengths = lengths[order]
     starts = np.flatnonzero(np.r_[True, sorted_lengths[1:] != sorted_lengths[:-1]])

@@ -1,4 +1,4 @@
-"""Core scheduling domain: tasks, VM fleets, ETC matrices, assignment checks."""
+"""Core scheduling domain: tasks, VM fleets, task lengths on VM speeds (the ETC), assignment checks."""
 
 from __future__ import annotations
 
@@ -65,25 +65,37 @@ class Workload:
 
 @dataclass(frozen=True)
 class EtcMatrix:
-    """Expected time to compute: entries[i][j] is task i's runtime on VM j, seconds."""
+    """The problem instance: task lengths in MI on VM speeds in MIPS, both read-only."""
 
-    entries: np.ndarray
+    lengths_mi: np.ndarray
+    mips: np.ndarray
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 2 or entries.size == 0:
-            raise ValueError("etc entries must form a non-empty 2-D table")
-        if not np.all(np.isfinite(entries)) or np.any(entries <= 0):
-            raise ValueError("etc entries must be finite and positive")
-        object.__setattr__(self, "entries", entries)
+        for name in ("lengths_mi", "mips"):
+            vector = np.array(getattr(self, name), dtype=float)  # a copy the caller cannot reach
+            if vector.ndim != 1 or vector.size == 0:
+                raise ValueError(f"{name} must be a non-empty 1-D vector")
+            if not np.all(np.isfinite(vector)) or np.any(vector <= 0):
+                raise ValueError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, _read_only(vector))
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.lengths_mi)
 
     @property
     def m(self) -> int:
-        return self.entries.shape[1]
+        return len(self.mips)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The (n, m) ETC table in seconds, read-only; rank-1, as it is built from two vectors."""
+        return _read_only(self.lengths_mi[:, None] / self.mips[None, :])
+
+    @cached_property
+    def share(self) -> float:
+        """Every VM's busy time when the total MI is split in proportion to MIPS."""
+        return float(self.lengths_mi.sum() / self.mips.sum())
 
     @cached_property
     def rows(self) -> list[list[float]]:
@@ -97,25 +109,22 @@ class EtcMatrix:
 
         VM j owns the j-th arc, of length m * mips_j / sum(mips), so the
         m - 1 edges between the arcs are m times the running speed shares.
-        The speeds are recovered from the columns, as the capacity threshold
-        recovers the share: column j sums to total_mi / mips_j. When every
-        column sums alike, every arc is a unit [j, j + 1), and None tells the
+        On identical VMs every arc is a unit [j, j + 1), and None tells the
         decode to take its plain path, floor(|x|) mod m.
         """
-        column_sums = self.entries.sum(axis=0)
-        if np.all(column_sums == column_sums[0]):
+        if np.all(self.mips == self.mips[0]):
             return None
-        speeds = 1.0 / column_sums
-        edges = np.cumsum(speeds[:-1]) * (self.m / np.sum(speeds))
-        edges.flags.writeable = False
-        return edges
+        return _read_only(np.cumsum(self.mips[:-1]) * (self.m / self.mips.sum()))
 
     @cached_property
     def offsets(self) -> np.ndarray:
         """m * arange(n), read-only: task i's cost on VM j is entries.flat[offsets[i] + j]."""
-        offsets = self.m * np.arange(self.n, dtype=np.int64)
-        offsets.flags.writeable = False
-        return offsets
+        return _read_only(self.m * np.arange(self.n, dtype=np.int64))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def check_assignment(assignment: Sequence[int] | np.ndarray, n: int, m: int) -> np.ndarray:
@@ -141,6 +150,5 @@ def build_etc(workload: Workload, vms: Sequence[VmSpec]) -> EtcMatrix:
     for index, vm in enumerate(vms):
         if vm.id != index:
             raise ValueError(f"vm ids must be contiguous from 0: index {index} holds id {vm.id}")
-    mips = np.array([vm.mips for vm in vms], dtype=float)
-    return EtcMatrix(workload.lengths_mi()[:, None] / mips[None, :])
+    return EtcMatrix(workload.lengths_mi(), [vm.mips for vm in vms])
 

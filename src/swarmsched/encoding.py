@@ -71,18 +71,10 @@ def encode_plan(plan: Sequence[int] | np.ndarray, arcs: np.ndarray | None = None
 
 
 def capacity_threshold(etc: EtcMatrix, headroom_theta: float) -> float:
-    """Per-VM load ceiling: headroom_theta (>= 1) times each VM's proportional share.
-
-    Splitting the total MI in proportion to MIPS busies every VM for the same
-    time, so the share is a single number for the whole fleet. It is recovered
-    from the ETC columns alone: share = 1 / sum_j (1 / column_sum_j), since
-    column j sums to total_mi / mips_j.
-    """
+    """Per-VM load ceiling: headroom_theta (>= 1) times etc.share, the proportional share."""
     if not headroom_theta >= 1:
         raise ValueError(f"headroom_theta must be >= 1, got {headroom_theta}")
-    column_sums = etc.entries.sum(axis=0)
-    share = 1.0 / float(np.sum(1.0 / column_sums))
-    return headroom_theta * share
+    return headroom_theta * etc.share
 
 
 def map_with_loads(

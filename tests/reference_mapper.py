@@ -7,7 +7,8 @@ coordinate, the speed arcs' inner edges at or below |x| mod m. It walks the
 tasks in ascending id: each keeps its decoded VM unless that VM's load plus
 the task's ETC would exceed the threshold, and then goes to the
 least-loaded VM, ties to the lowest index. Nothing here calls into the code
-under test apart from EtcMatrix's cached rows and arcs.
+under test apart from EtcMatrix's rows and arcs, which tests/test_domain.py
+checks against the two vectors they derive from, lengths_mi and mips.
 """
 
 from __future__ import annotations

@@ -14,6 +14,11 @@ from swarmsched.domain import (
     build_etc,
     check_assignment,
 )
+from swarmsched.encoding import capacity_threshold, map_with_loads
+
+
+def assert_bitwise_equal(actual, expected):
+    npt.assert_array_equal(actual.view(np.int64), np.asarray(expected).view(np.int64))
 
 
 def test_task_rejects_nonpositive_length():
@@ -39,54 +44,92 @@ def test_workload_len_and_lengths(tiny_workload):
 
 
 def test_etc_matrix_validation():
-    with pytest.raises(ValueError, match="non-empty 2-D"):
-        EtcMatrix(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="non-empty 2-D"):
-        EtcMatrix(np.empty((0, 3)))
-    with pytest.raises(ValueError, match="finite and positive"):
-        EtcMatrix(np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError, match="finite and positive"):
-        EtcMatrix(np.array([[1.0, np.inf]]))
+    good = {"lengths_mi": np.array([100.0, 500.0]), "mips": np.array([1000.0, 2000.0])}
+    bad_vectors = (
+        (np.ones((2, 2)), "a non-empty 1-D"),
+        (np.array(5.0), "a non-empty 1-D"),
+        (np.empty(0), "a non-empty 1-D"),
+        (np.array([1.0, 0.0]), "finite and positive"),
+        (np.array([1.0, np.inf]), "finite and positive"),
+    )
+    for field in good:
+        for bad, message in bad_vectors:
+            with pytest.raises(ValueError, match=f"{field} must be {message}"):
+                EtcMatrix(**{**good, field: bad})
 
 
 def test_etc_matrix_shape_properties():
-    etc = EtcMatrix(np.ones((3, 2)))
+    etc = EtcMatrix(np.ones(3), np.ones(2))
     assert etc.n == 3
     assert etc.m == 2
 
 
 def test_etc_rows_matches_entries_and_is_cached():
-    etc = EtcMatrix(np.array([[0.1, 0.05], [0.5, 0.25]]))
+    etc = EtcMatrix(np.array([100.0, 500.0]), np.array([1000.0, 2000.0]))
     rows = etc.rows
     assert rows == [[0.1, 0.05], [0.5, 0.25]]
     assert etc.rows is rows
 
 
+def test_etc_matrix_owns_read_only_copies_of_its_vectors():
+    lengths, mips = np.full(3, 400.0), np.full(2, 100.0)
+    etc = EtcMatrix(lengths, mips)
+    rows = etc.rows
+    # writes to the caller's arrays reach neither the vectors nor the derived
+    # table, so the cached rows and arcs cannot go stale against entries
+    lengths[0] = 10000.0
+    mips[1] = 1.0
+    npt.assert_array_equal(etc.lengths_mi, [400.0, 400.0, 400.0])
+    npt.assert_array_equal(etc.mips, [100.0, 100.0])
+    npt.assert_array_equal(etc.entries, np.full((3, 2), 4.0))
+    assert etc.rows is rows and rows == [[4.0, 4.0]] * 3
+    assert etc.arcs is None
+    assignment, loads = map_with_loads(np.full(3, 0.5), etc, threshold=8.0)
+    npt.assert_array_equal(assignment, [0, 0, 1])
+    npt.assert_array_equal(loads, [8.0, 4.0])
+    for array in (etc.lengths_mi, etc.mips, etc.entries):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_etc_share_is_total_mi_over_total_mips_bit_for_bit():
+    rng = np.random.default_rng(27)
+    for n, m in ((8, 3), (800, 4), (5000, 8), (1, 1)):
+        for lengths, mips in ((rng.uniform(100.0, 1000.0, n), rng.uniform(500.0, 3000.0, m)),
+                              (rng.lognormal(7.0, 1.0, n), np.linspace(500.0, 3000.0, m))):
+            etc = EtcMatrix(lengths, mips)
+            # the benchmark oracle's lower bound, the same expression
+            assert etc.share == float(lengths.sum() / mips.sum())
+            for theta in (1.0, 1.05, 1.2, 2.0):
+                assert capacity_threshold(etc, theta) == theta * etc.share
+
+
 def test_etc_arcs_split_the_period_in_proportion_to_speed():
     lengths = np.array([100.0, 500.0, 250.0])
-    etc = EtcMatrix(lengths[:, np.newaxis] / np.array([500.0, 1000.0, 2500.0]))
+    etc = EtcMatrix(lengths, np.array([500.0, 1000.0, 2500.0]))
     # 3 * (500, 1500) / 4000
     npt.assert_allclose(etc.arcs, [0.375, 1.125], rtol=1e-15)
+    assert_bitwise_equal(etc.arcs, np.cumsum([500.0, 1000.0]) * (3 / 4000.0))
     assert etc.arcs is etc.arcs
     assert not etc.arcs.flags.writeable
     # scale-5000x8's fleet: 500 to 3000 MIPS over 8 VMs
     fleet = np.linspace(500.0, 3000.0, 8)
-    scale = EtcMatrix(lengths[:, np.newaxis] / fleet)
-    npt.assert_allclose(scale.arcs, 8 * np.cumsum(fleet)[:-1] / fleet.sum(), rtol=1e-14)
+    scale = EtcMatrix(lengths, fleet)
+    assert_bitwise_equal(scale.arcs, np.cumsum(fleet[:-1]) * (8 / fleet.sum()))
     npt.assert_allclose(scale.arcs, [0.286, 0.776, 1.469, 2.367, 3.469, 4.776, 6.286], atol=5e-4)
 
 
 def test_etc_arcs_are_none_when_every_vm_is_alike():
     # the decode then takes its plain path, floor(|x|) mod m
-    assert EtcMatrix(np.ones((3, 4))).arcs is None
-    assert EtcMatrix(np.array([[0.1], [0.3]])).arcs is None
-    lengths = np.array([[123.4], [5.0], [999.9]])
-    assert EtcMatrix(lengths / np.full(5, 1000.0)).arcs is None
+    assert EtcMatrix(np.ones(3), np.ones(4)).arcs is None
+    assert EtcMatrix(np.array([100.0, 300.0]), np.array([1000.0])).arcs is None
+    assert EtcMatrix(np.array([123.4, 5.0, 999.9]), np.full(5, 1000.0)).arcs is None
 
 
 def test_etc_offsets_are_cached_read_only_and_per_matrix():
-    three = EtcMatrix(np.ones((3, 4)))
-    five = EtcMatrix(np.ones((5, 4)))
+    three = EtcMatrix(np.ones(3), np.ones(4))
+    five = EtcMatrix(np.ones(5), np.ones(4))
     offsets = three.offsets
     assert offsets.dtype == np.int64
     npt.assert_array_equal(offsets, 4 * np.arange(3))
@@ -102,6 +145,8 @@ def test_etc_offsets_are_cached_read_only_and_per_matrix():
 def test_build_etc_hand_table(tiny_workload, tiny_fleet):
     # lengths [100, 500] MI over [1000, 2000] MIPS: seconds = length / mips
     etc = build_etc(tiny_workload, tiny_fleet)
+    npt.assert_array_equal(etc.lengths_mi, [100.0, 500.0])
+    npt.assert_array_equal(etc.mips, [1000.0, 2000.0])
     npt.assert_allclose(etc.entries, [[0.1, 0.05], [0.5, 0.25]])
 
 

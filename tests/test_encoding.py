@@ -54,14 +54,15 @@ def test_capacity_policy_requires_headroom_at_least_one(tiny_workload, tiny_flee
 
 
 def test_capacity_threshold_hand_value(tiny_workload, tiny_fleet):
-    # column sums [0.6, 0.3]; sum of reciprocals 5.0; fair share 0.2
+    # 600 MI over 3000 MIPS: fair share 0.2 s
     etc = build_etc(tiny_workload, tiny_fleet)
     assert capacity_threshold(etc, 1.0) == pytest.approx(0.2)
     assert capacity_threshold(etc, 1.2) == pytest.approx(0.24)
 
 
 def test_map_with_loads_reroutes_overflow_to_least_loaded():
-    etc = EtcMatrix(np.array([[10.0, 5.0], [8.0, 4.0], [6.0, 3.0]]))
+    # ETC [[10, 5], [8, 4], [6, 3]]; VM 0's speed arc is [0, 2/3)
+    etc = EtcMatrix(np.array([10.0, 8.0, 6.0]), np.array([1.0, 2.0]))
     position = [0.5, 0.5, 0.5]  # every task decodes to VM 0
     assignment, loads = map_with_loads(position, etc, threshold=15.0)
     # task 0 fits on VM 0; tasks 1 and 2 would push it past 15 and spill to VM 1
@@ -70,7 +71,7 @@ def test_map_with_loads_reroutes_overflow_to_least_loaded():
 
 
 def test_map_with_loads_fallback_used_even_above_threshold():
-    etc = EtcMatrix(np.array([[10.0, 5.0], [8.0, 4.0]]))
+    etc = EtcMatrix(np.array([10.0, 8.0]), np.array([1.0, 2.0]))  # ETC [[10, 5], [8, 4]]
     assignment, loads = map_with_loads([0.5, 0.5], etc, threshold=1.0)
     # nothing fits anywhere; each task still lands on the least-loaded VM
     npt.assert_array_equal(assignment, [0, 1])
@@ -78,7 +79,7 @@ def test_map_with_loads_fallback_used_even_above_threshold():
 
 
 def test_map_with_loads_tie_breaks_to_lowest_vm():
-    etc = EtcMatrix(np.array([[2.0, 2.0, 2.0]]))
+    etc = EtcMatrix(np.array([2.0]), np.ones(3))
     assignment, _ = map_with_loads([2.5], etc, threshold=1.0)
     npt.assert_array_equal(assignment, [0])
 

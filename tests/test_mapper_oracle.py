@@ -56,7 +56,7 @@ def mapper_cases(draw):
     lengths = rng.uniform(100.0, 1000.0, n)
     # identical columns make equal loads, so min(loads) meets ties
     mips = np.full(m, 1000.0) if tied else rng.uniform(500.0, 3000.0, m)
-    etc = EtcMatrix(lengths[:, np.newaxis] / mips[np.newaxis, :])
+    etc = EtcMatrix(lengths, mips)
 
     positions = rng.uniform(0.0, m, n if k is None else (k, n))
     flat = positions.reshape(-1)
@@ -92,7 +92,7 @@ def test_block_mapper_matches_the_reference_at_benchmark_sizes():
     rng = np.random.default_rng(7)
     for n, m, k in ((800, 4, 5), (5000, 8, 1), (8, 3, 20)):
         lengths = rng.pareto(1.5, n) * 100.0 + 100.0
-        etc = EtcMatrix(lengths[:, np.newaxis] / rng.uniform(500.0, 3000.0, m))
+        etc = EtcMatrix(lengths, rng.uniform(500.0, 3000.0, m))
         positions = rng.uniform(0.0, m, (k, n))
         for theta in (1.0, 1.2, 2.0):
             threshold = capacity_threshold(etc, theta)
@@ -101,7 +101,7 @@ def test_block_mapper_matches_the_reference_at_benchmark_sizes():
 
 
 def test_block_mixes_clean_and_breaching_rows():
-    etc = EtcMatrix(np.array([[4.0, 4.0], [4.0, 4.0], [4.0, 4.0]]))
+    etc = EtcMatrix(np.full(3, 4.0), np.ones(2))  # every ETC is 4
     # row 0 spreads 2/1, row 1 piles all three tasks onto VM 0
     positions = np.array([[0.5, 1.5, 0.5], [0.5, 0.5, 0.5]])
     assignments, loads = map_with_loads(positions, etc, threshold=8.0)
@@ -174,7 +174,7 @@ def speed_fleets(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     identical = draw(st.booleans())
     mips = np.full(m, 1000.0) if identical else rng.uniform(1.0, 5000.0, m)
-    etc = EtcMatrix(rng.uniform(100.0, 1000.0, (3, 1)) / mips)
+    etc = EtcMatrix(rng.uniform(100.0, 1000.0, 3), mips)
     if identical:
         assert etc.arcs is None
     return etc, rng
@@ -242,9 +242,8 @@ def test_mapped_makespan_is_within_the_capacity_bound(n, m, theta, identical, he
     rng = np.random.default_rng(seed)
     lengths = rng.lognormal(np.log(1000.0), 1.0, n) if heavy else rng.uniform(100.0, 1000.0, n)
     mips = np.full(m, 1000.0) if identical else rng.uniform(500.0, 3000.0, m)
-    etc = EtcMatrix(lengths[:, np.newaxis] / mips)
-    share = lengths.sum() / mips.sum()
-    bound = max(theta * share, share + etc.entries.max())
+    etc = EtcMatrix(lengths, mips)
+    bound = max(theta * etc.share, etc.share + etc.entries.max())
     positions = rng.uniform(0.0, m, (4, n))
     # every task proposed onto VM 0 breaches as early as a plan can
     positions[0] = 0.0
