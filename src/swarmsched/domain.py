@@ -63,7 +63,8 @@ class Workload:
         return np.array([task.length_mi for task in self.tasks], dtype=float)
 
 
-@dataclass(frozen=True)
+# eq=False: a field-wise == over ndarrays raises; compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class EtcMatrix:
     """The problem instance: task lengths in MI on VM speeds in MIPS, both read-only."""
 

@@ -41,6 +41,11 @@ def decode_position(
     EtcMatrix.arcs, x_i decodes to the number of edges at or below
     fmod(|x_i|, m). Either way the fmod runs only if some |x_i| reaches m:
     below m, |x_i| is its own remainder.
+
+    The edge count is one vectorized comparison pass per edge, with no
+    data-dependent branch: on fresh coordinates it beats a binary search
+    (searchsorted, side="right", which it equals bit for bit) up to about
+    100 VMs, and loses beyond, where its cost grows with m.
     """
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
@@ -54,7 +59,7 @@ def decode_position(
         np.fmod(coords, m, out=coords)
     if arcs is None:
         return coords.astype(np.int64)
-    return np.searchsorted(arcs, coords, side="right")
+    return np.add.reduce(np.less_equal.outer(arcs, coords), axis=0, dtype=np.intp)
 
 
 def encode_plan(plan: Sequence[int] | np.ndarray, arcs: np.ndarray | None = None) -> np.ndarray:

@@ -64,6 +64,17 @@ def test_etc_matrix_shape_properties():
     assert etc.m == 2
 
 
+def test_etc_matrix_compares_and_hashes_by_identity():
+    etc = EtcMatrix(np.ones(3), np.ones(2))
+    twin = EtcMatrix(np.ones(3), np.ones(2))
+    assert etc == etc
+    assert etc != twin
+    plans = {etc: "etc", twin: "twin"}
+    assert plans[etc] == "etc" and plans[twin] == "twin"
+    # the cached properties still fill in after the hash is taken
+    assert etc.arcs is None and etc.share == 1.5
+
+
 def test_etc_rows_matches_entries_and_is_cached():
     etc = EtcMatrix(np.array([100.0, 500.0]), np.array([1000.0, 2000.0]))
     rows = etc.rows

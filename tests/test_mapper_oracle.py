@@ -207,6 +207,34 @@ def test_arc_decode_counts_the_edges_at_or_below_each_point(case):
     npt.assert_array_equal(block.view(np.int64), before.view(np.int64))
 
 
+@st.composite
+def wide_arc_blocks(draw):
+    """(k, n) blocks on the arcs of up to 300 mixed-speed VMs, some coordinates on an edge."""
+    # past 255 VMs a count held in one byte would wrap
+    m = draw(st.one_of(st.integers(2, 16), st.integers(250, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arcs = EtcMatrix(np.ones(1), rng.uniform(1.0, 5000.0, m)).arcs
+    block = rng.uniform(-2.0 * m, 2.0 * m, (draw(st.integers(1, 3)), draw(st.integers(1, 20))))
+    edges = [*arcs.tolist(), *(-arcs).tolist(), *(arcs + m).tolist(),
+             float(m), 3.0 * m, 1e300, float(np.nextafter(m, 0.0))]
+    flat = block.reshape(-1)
+    cells = st.integers(0, flat.size - 1)
+    for index, value in draw(st.lists(st.tuples(cells, st.sampled_from(edges)), max_size=12)):
+        flat[index] = value
+    return block, arcs
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=wide_arc_blocks())
+def test_arc_decode_counts_the_edges_of_wide_fleets(case):
+    block, arcs = case
+    before = block.copy()
+    decoded = decode_position(block, len(arcs) + 1, arcs)
+    assert decoded.dtype == np.int64
+    npt.assert_array_equal(decoded, ref.arc_decode(block, arcs))
+    npt.assert_array_equal(block.view(np.int64), before.view(np.int64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(fleet=speed_fleets(), n=st.integers(1, 40))
 def test_encode_plan_decodes_back_to_the_plan(fleet, n):
@@ -251,9 +279,10 @@ def test_mapped_makespan_is_within_the_capacity_bound(n, m, theta, identical, he
     assert loads.max() <= bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("arcs", [None, np.array([1.5, 2.5, 3.5])], ids=["plain", "arcs"])
 @pytest.mark.parametrize("empty", [[], np.empty(0), np.empty((3, 0))])
-def test_decode_of_an_empty_input_is_an_empty_int64_array(empty):
-    decoded = decode_position(empty, 4)
+def test_decode_of_an_empty_input_is_an_empty_int64_array(empty, arcs):
+    decoded = decode_position(empty, 4, arcs)
     assert decoded.dtype == np.int64
     assert decoded.shape == np.shape(empty)
 
