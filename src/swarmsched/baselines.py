@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -17,15 +16,15 @@ __all__ = ["round_robin", "seeded_random", "min_min", "minmin_seeded_hybrid"]
 
 def round_robin(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     """vm_of[i] = i mod m."""
-    _check(workload, vms)
-    return np.arange(len(workload), dtype=np.int64) % len(vms)
+    etc = build_etc(workload, vms)
+    return np.arange(etc.n, dtype=np.int64) % etc.m
 
 
 def seeded_random(workload: Workload, vms: Sequence[VmSpec], seed: int) -> np.ndarray:
     """Uniform random VM per task, reproducible per seed."""
-    _check(workload, vms)
+    etc = build_etc(workload, vms)
     rng = np.random.default_rng(seed)
-    return rng.integers(0, len(vms), len(workload), dtype=np.int64)
+    return rng.integers(0, etc.m, etc.n, dtype=np.int64)
 
 
 def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
@@ -35,23 +34,23 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     where completion time is the VM's ready time plus the task's ETC. Ties go
     to the lowest task id, then the lowest VM id.
 
-    The ETC is rank-1, as an EtcMatrix holds only lengths and speeds, and IEEE
-    division and addition round monotonically, so on every VM the shortest
-    remaining task completes first. The tasks are sorted once by (length, id),
-    and a round takes the earliest completion over the VMs for the shortest
-    remaining task. The pairs that tie with it form, on each VM, a prefix of
-    the remaining tasks in sorted order, and the round picks the lowest task id
+    The ETC is rank-1: an EtcMatrix holds only lengths and speeds, and each
+    cost is computed as length / speed where it is read. IEEE division and
+    addition round monotonically, so on every VM the shortest remaining task
+    completes first. The tasks are sorted once by (length, id), and a round
+    takes the earliest completion over the VMs for the shortest remaining
+    task. The pairs that tie with it form, on each VM, a prefix of the
+    remaining tasks in sorted order, and the round picks the lowest task id
     among them. Tasks of equal length are interchangeable and so leave in id
     order: the round steps over each run of them through one pointer. This is
     O(n log n + n·m) and commits exactly the plan of the whole-table greedy.
     """
     etc = build_etc(workload, vms)
-    rows = etc.rows
-    lengths = etc.lengths_mi
-    order = np.argsort(lengths, kind="stable")
-    sorted_lengths = lengths[order]
+    order = np.argsort(etc.lengths_mi, kind="stable")
+    sorted_lengths = etc.lengths_mi[order]
     starts = np.flatnonzero(np.r_[True, sorted_lengths[1:] != sorted_lengths[:-1]])
     order = order.tolist()
+    lengths, speeds = etc.lengths_mi.tolist(), etc.mips.tolist()
     # run r's tasks still to commit are order[next_pos[r]:run_end[r]]; the
     # runs still holding tasks form a list from head linked through after
     next_pos = starts.tolist()
@@ -63,7 +62,8 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     out = [0] * etc.n
     while head != no_run:
         task = order[next_pos[head]]
-        completion = list(map(add, ready, rows[task]))
+        length = lengths[task]
+        completion = [r + length / s for r, s in zip(ready, speeds)]
         best = min(completion)
         vm = completion.index(best)
         if completion.count(best) == 1:
@@ -74,8 +74,8 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
         previous, later = head, after[head]
         while later != no_run:
             candidate = order[next_pos[later]]
-            row = rows[candidate]
-            tied = [j for j in tied if ready[j] + row[j] == best]
+            length = lengths[candidate]
+            tied = [j for j in tied if ready[j] + length / speeds[j] == best]
             if not tied:
                 break
             if candidate < task:
@@ -112,10 +112,3 @@ def minmin_seeded_hybrid(
     plan_report = evaluate_assignment(plan, etc, config.resolve(etc).beta)
     _, report, log = result
     return (plan, plan_report, log) if plan_report.fitness < report.fitness else result
-
-
-def _check(workload: Workload, vms: Sequence[VmSpec]) -> None:
-    if len(workload) == 0:
-        raise ValueError("empty input: workload has no tasks")
-    if len(vms) == 0:
-        raise ValueError("empty input: fleet has no VMs")

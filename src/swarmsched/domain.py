@@ -66,7 +66,11 @@ class Workload:
 # eq=False: a field-wise == over ndarrays raises; compare and hash by identity
 @dataclass(frozen=True, eq=False)
 class EtcMatrix:
-    """The problem instance: task lengths in MI on VM speeds in MIPS, both read-only."""
+    """The problem instance: task lengths in MI on VM speeds in MIPS, both read-only.
+
+    No ETC table is stored: task i takes lengths_mi[i] / mips[j] seconds on
+    VM j, and each reader computes that division where it reads the cost.
+    """
 
     lengths_mi: np.ndarray
     mips: np.ndarray
@@ -89,20 +93,9 @@ class EtcMatrix:
         return len(self.mips)
 
     @cached_property
-    def entries(self) -> np.ndarray:
-        """The (n, m) ETC table in seconds, read-only; rank-1, as it is built from two vectors."""
-        return _read_only(self.lengths_mi[:, None] / self.mips[None, :])
-
-    @cached_property
     def share(self) -> float:
         """Every VM's busy time when the total MI is split in proportion to MIPS."""
         return float(self.lengths_mi.sum() / self.mips.sum())
-
-    @cached_property
-    def rows(self) -> list[list[float]]:
-        # Plain nested lists, cached: the sequential mapping loops index single
-        # cells millions of times and ndarray scalar access is far slower.
-        return self.entries.tolist()
 
     @cached_property
     def arcs(self) -> np.ndarray | None:
@@ -116,11 +109,6 @@ class EtcMatrix:
         if np.all(self.mips == self.mips[0]):
             return None
         return _read_only(np.cumsum(self.mips[:-1]) * (self.m / self.mips.sum()))
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """m * arange(n), read-only: task i's cost on VM j is entries.flat[offsets[i] + j]."""
-        return _read_only(self.m * np.arange(self.n, dtype=np.int64))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -103,8 +103,8 @@ def map_with_loads(
     raw = decode_position(position, m, etc.arcs)
     block = np.atleast_2d(raw)  # a view: settling its rows settles raw
     k = block.shape[0]
-    # one flat gather: task i's cost on VM j is entry i * m + j
-    costs = etc.entries.take(block + etc.offsets)
+    # task i's cost on its decoded VM j, computed where it is read
+    costs = etc.lengths_mi / etc.mips.take(block)
     # bincount adds each weight into its bin in index order, so every total
     # is bit for bit the left-to-right sum the placement loop accumulates
     keys = block + m * np.arange(k)[:, np.newaxis]
@@ -113,24 +113,24 @@ def map_with_loads(
     # all fit never breached on the way and keeps its raw decode
     breaching = (np.maximum.reduce(loads, axis=1) > threshold).nonzero()[0]
     if breaching.size:
-        rows = etc.rows
+        lengths, speeds = etc.lengths_mi.tolist(), etc.mips.tolist()
         for r in breaching.tolist():
-            block[r], loads[r] = _place_in_order(block[r].tolist(), rows, m, threshold)
+            block[r], loads[r] = _place_in_order(block[r].tolist(), lengths, speeds, threshold)
     return raw, loads.reshape(raw.shape[:-1] + (m,))
 
 
 def _place_in_order(
-    raw: list[int], rows: list[list[float]], m: int, threshold: float
+    raw: list[int], lengths: list[float], speeds: list[float], threshold: float
 ) -> tuple[list[int], list[float]]:
     """Place tasks in ascending id, rerouting each that would breach its VM."""
-    loads = [0.0] * m
+    loads = [0.0] * len(speeds)
     out = list(raw)
     for i, j in enumerate(raw):
-        row = rows[i]
-        load = loads[j] + row[j]
+        length = lengths[i]
+        load = loads[j] + length / speeds[j]
         if load > threshold:
             j = loads.index(min(loads))
-            load = loads[j] + row[j]
+            load = loads[j] + length / speeds[j]
             out[i] = j
         loads[j] = load
     return out, loads

@@ -32,7 +32,7 @@ class MetricsReport:
 def load_vector(assignment: Sequence[int] | np.ndarray, etc: EtcMatrix) -> np.ndarray:
     """Per-VM busy time: sum of the ETCs of the tasks assigned to each VM."""
     vm_of = check_assignment(assignment, etc.n, etc.m)
-    chosen = etc.entries[np.arange(etc.n), vm_of]
+    chosen = etc.lengths_mi / etc.mips[vm_of]
     return np.bincount(vm_of, weights=chosen, minlength=etc.m)
 
 
@@ -43,7 +43,8 @@ def default_beta(etc: EtcMatrix) -> float:
     balanced per-VM busy time, so the penalty competes with, but cannot
     dominate, the makespan term.
     """
-    return 0.5 * float(etc.entries.mean()) * etc.n / etc.m
+    # the (n, m) ETC table under the same pairwise mean, so beta keeps every bit
+    return 0.5 * float((etc.lengths_mi[:, None] / etc.mips).mean()) * etc.n / etc.m
 
 
 def score_loads(

@@ -17,10 +17,11 @@ from swarmsched.domain import build_etc
 def min_min(workload, vms):
     etc = build_etc(workload, vms)
     remaining = np.arange(etc.n)
+    table = etc.lengths_mi[:, None] / etc.mips
     ready = np.zeros(etc.m)
     out = np.empty(etc.n, dtype=np.int64)
     while remaining.size:
-        completion = ready + etc.entries[remaining]  # (k, m)
+        completion = ready + table[remaining]  # (k, m)
         # argmin returns the first minimum in row-major order, which is
         # exactly lowest task id first, then lowest VM id
         flat = int(np.argmin(completion))

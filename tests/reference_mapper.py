@@ -6,9 +6,10 @@ np.mod on identical VMs, and on other fleets by counting, coordinate by
 coordinate, the speed arcs' inner edges at or below |x| mod m. It walks the
 tasks in ascending id: each keeps its decoded VM unless that VM's load plus
 the task's ETC would exceed the threshold, and then goes to the
-least-loaded VM, ties to the lowest index. Nothing here calls into the code
-under test apart from EtcMatrix's rows and arcs, which tests/test_domain.py
-checks against the two vectors they derive from, lengths_mi and mips.
+least-loaded VM, ties to the lowest index. It builds its own ETC table,
+lengths_mi[:, None] / mips, from the matrix's two vectors. Nothing here
+calls into the code under test apart from EtcMatrix's arcs, which
+tests/test_domain.py checks against the speeds they derive from.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def arc_decode(position, arcs):
 
 def map_with_loads(position, etc, threshold):
     m = etc.m
-    rows = etc.rows
+    rows = (etc.lengths_mi[:, None] / etc.mips).tolist()
     loads = [0.0] * m
     out = []
     vm_of = decode(position, m) if etc.arcs is None else arc_decode(position, etc.arcs)

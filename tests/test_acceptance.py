@@ -83,9 +83,10 @@ def exhaustive_best_makespan(etc) -> float:
     n, m = etc.n, etc.m
     codes = np.arange(m**n)
     digits = (codes[:, None] // (m ** np.arange(n))[None, :]) % m
+    table = etc.lengths_mi[:, None] / etc.mips
     loads = np.zeros((codes.shape[0], m))
     for j in range(m):
-        loads[:, j] = ((digits == j) * etc.entries[:, j][None, :]).sum(axis=1)
+        loads[:, j] = ((digits == j) * table[:, j][None, :]).sum(axis=1)
     return float(loads.max(axis=1).min())
 
 
@@ -351,7 +352,7 @@ def test_criterion_9_min_min_against_independent_greedy(capsys):
             workload, fleet = random_instance(rng, n=n, m=m)
             etc = build_etc(workload, fleet)
             fast = min_min(workload, fleet)
-            oracle = greedy_min_min_oracle(etc.rows, m)
+            oracle = greedy_min_min_oracle((etc.lengths_mi[:, None] / etc.mips).tolist(), m)
             if not np.array_equal(fast, np.asarray(oracle)):
                 mismatches += 1
         passed = mismatches == 0

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from swarmsched.baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
-from swarmsched.domain import Workload, build_etc
+from swarmsched.domain import VmSpec, Workload, build_etc
 from swarmsched.encoding import decode_position, encode_plan
 from swarmsched.metrics import evaluate_assignment, load_vector
 from swarmsched.optimizer import OptimizerConfig
@@ -26,6 +26,18 @@ def test_round_robin_rejects_empty_inputs():
         round_robin(Workload(tasks=()), make_fleet([1000.0]))
     with pytest.raises(ValueError, match="no VMs"):
         round_robin(make_workload([100.0]), ())
+
+
+@pytest.mark.parametrize("baseline", [
+    round_robin,
+    lambda workload, fleet: seeded_random(workload, fleet, seed=7),
+    min_min,
+    lambda workload, fleet: minmin_seeded_hybrid(workload, fleet, OptimizerConfig(seed=1)),
+], ids=["round_robin", "seeded_random", "min_min", "minmin_seeded_hybrid"])
+def test_baselines_reject_noncontiguous_vm_ids(baseline):
+    fleet = (VmSpec(0, 1000.0), VmSpec(5, 1000.0))
+    with pytest.raises(ValueError, match="contiguous"):
+        baseline(make_workload([100.0] * 4), fleet)
 
 
 def test_seeded_random_is_reproducible_and_in_range():
@@ -56,7 +68,8 @@ def test_min_min_prefers_globally_earliest_completion():
     assert assignment.min() >= 0 and assignment.max() < 3
     # the first task scheduled is the global argmin of the ETC table, so that
     # cell's VM must carry its task in the final plan
-    i, j = np.unravel_index(np.argmin(etc.entries), etc.entries.shape)
+    table = etc.lengths_mi[:, None] / etc.mips
+    i, j = np.unravel_index(np.argmin(table), table.shape)
     assert assignment[i] == j
 
 

@@ -14,7 +14,9 @@ from swarmsched.domain import (
     build_etc,
     check_assignment,
 )
+from swarmsched import baselines
 from swarmsched.encoding import capacity_threshold, map_with_loads
+from swarmsched.metrics import default_beta, load_vector
 
 
 def assert_bitwise_equal(actual, expected):
@@ -75,30 +77,22 @@ def test_etc_matrix_compares_and_hashes_by_identity():
     assert etc.arcs is None and etc.share == 1.5
 
 
-def test_etc_rows_matches_entries_and_is_cached():
-    etc = EtcMatrix(np.array([100.0, 500.0]), np.array([1000.0, 2000.0]))
-    rows = etc.rows
-    assert rows == [[0.1, 0.05], [0.5, 0.25]]
-    assert etc.rows is rows
-
-
 def test_etc_matrix_owns_read_only_copies_of_its_vectors():
     lengths, mips = np.full(3, 400.0), np.full(2, 100.0)
     etc = EtcMatrix(lengths, mips)
-    rows = etc.rows
-    # writes to the caller's arrays reach neither the vectors nor the derived
-    # table, so the cached rows and arcs cannot go stale against entries
+    # writes to the caller's arrays reach neither vector, so the costs and
+    # the cached share and arcs cannot go stale
     lengths[0] = 10000.0
     mips[1] = 1.0
     npt.assert_array_equal(etc.lengths_mi, [400.0, 400.0, 400.0])
     npt.assert_array_equal(etc.mips, [100.0, 100.0])
-    npt.assert_array_equal(etc.entries, np.full((3, 2), 4.0))
-    assert etc.rows is rows and rows == [[4.0, 4.0]] * 3
+    assert not np.shares_memory(etc.lengths_mi, lengths)
+    assert not np.shares_memory(etc.mips, mips)
     assert etc.arcs is None
     assignment, loads = map_with_loads(np.full(3, 0.5), etc, threshold=8.0)
     npt.assert_array_equal(assignment, [0, 0, 1])
     npt.assert_array_equal(loads, [8.0, 4.0])
-    for array in (etc.lengths_mi, etc.mips, etc.entries):
+    for array in (etc.lengths_mi, etc.mips):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -138,19 +132,37 @@ def test_etc_arcs_are_none_when_every_vm_is_alike():
     assert EtcMatrix(np.array([123.4, 5.0, 999.9]), np.full(5, 1000.0)).arcs is None
 
 
-def test_etc_offsets_are_cached_read_only_and_per_matrix():
-    three = EtcMatrix(np.ones(3), np.ones(4))
-    five = EtcMatrix(np.ones(5), np.ones(4))
-    offsets = three.offsets
-    assert offsets.dtype == np.int64
-    npt.assert_array_equal(offsets, 4 * np.arange(3))
-    npt.assert_array_equal(five.offsets, 4 * np.arange(5))
-    assert three.offsets is offsets
-    # every later gather reads the cached vector, so a stray write must fail
-    assert not offsets.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        offsets[1] = 0
-    assert not np.shares_memory(offsets, five.offsets)
+@pytest.mark.parametrize("n, m", [(8, 3), (800, 4), (5000, 8)])
+@pytest.mark.parametrize("identical", [True, False], ids=["identical", "mixed"])
+def test_etc_costs_are_computed_where_read_and_no_table_is_kept(n, m, identical, monkeypatch):
+    rng = np.random.default_rng([30, n, m])
+    lengths = rng.lognormal(np.log(1000.0), 1.0, n)
+    mips = np.full(m, 1000.0) if identical else rng.uniform(500.0, 3000.0, m)
+    workload = Workload(tuple(Task(i, float(x)) for i, x in enumerate(lengths)))
+    fleet = tuple(VmSpec(j, float(x)) for j, x in enumerate(mips))
+    etc = build_etc(workload, fleet)
+    table = lengths[:, None] / mips
+    vm_of = rng.integers(0, m, n)
+    assert_bitwise_equal(load_vector(vm_of, etc),
+                         np.bincount(vm_of, weights=table[np.arange(n), vm_of], minlength=m))
+    assert_bitwise_equal(np.array(default_beta(etc)), np.array(0.5 * float(table.mean()) * n / m))
+
+    positions = rng.uniform(0.0, m, (3, n))
+    positions[0] = 0.0  # every task proposed onto VM 0: the row breaches
+    _, loads = map_with_loads(positions, etc, capacity_threshold(etc, 1.05))
+    assert loads[0, 1:].any()
+    built = []  # the matrix min_min builds for itself
+
+    def spy(*args):
+        built.append(build_etc(*args))
+        return built[-1]
+
+    monkeypatch.setattr(baselines, "build_etc", spy)
+    baselines.min_min(workload, fleet)
+    assert built
+    # an n x m table, cached or not, would show up here next to the vectors
+    for matrix in (etc, *built):
+        assert set(vars(matrix)) <= {"lengths_mi", "mips", "share", "arcs"}
 
 
 def test_build_etc_hand_table(tiny_workload, tiny_fleet):
@@ -158,7 +170,7 @@ def test_build_etc_hand_table(tiny_workload, tiny_fleet):
     etc = build_etc(tiny_workload, tiny_fleet)
     npt.assert_array_equal(etc.lengths_mi, [100.0, 500.0])
     npt.assert_array_equal(etc.mips, [1000.0, 2000.0])
-    npt.assert_allclose(etc.entries, [[0.1, 0.05], [0.5, 0.25]])
+    npt.assert_allclose(etc.lengths_mi[:, None] / etc.mips, [[0.1, 0.05], [0.5, 0.25]])
 
 
 def test_build_etc_rejects_empty_inputs(tiny_workload, tiny_fleet):

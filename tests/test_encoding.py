@@ -89,7 +89,7 @@ def test_map_with_loads_cost_recharged_on_fallback_vm():
     # Lengths 10 and 70 MI on VMs of 1 and 10 MIPS; VM 0's speed arc is
     # [0, 2/11), so both tasks decode to it
     etc = build_etc(make_workload([10.0, 70.0]), make_fleet([1.0, 10.0]))
-    npt.assert_array_equal(etc.entries, [[10.0, 1.0], [70.0, 7.0]])
+    npt.assert_array_equal(etc.lengths_mi[:, None] / etc.mips, [[10.0, 1.0], [70.0, 7.0]])
     assignment, loads = map_with_loads([0.1, 0.1], etc, threshold=50.0)
     npt.assert_array_equal(assignment, [0, 1])
     npt.assert_allclose(loads, [10.0, 7.0])

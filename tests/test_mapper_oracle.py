@@ -70,7 +70,7 @@ def mapper_cases(draw):
     threshold = draw(
         st.one_of(
             st.just(0.0),  # every row breaches at task 0
-            st.just(0.5 * float(etc.entries.min())),
+            st.just(0.5 * float((lengths[:, None] / mips).min())),
             st.just(max(peaks)),  # every row clean, the highest exactly at its peak
             st.sampled_from(peaks),  # rows at or below this peak clean, the rest breach
             # one ulp under a peak: that row breaches only on its last charge there
@@ -271,7 +271,7 @@ def test_mapped_makespan_is_within_the_capacity_bound(n, m, theta, identical, he
     lengths = rng.lognormal(np.log(1000.0), 1.0, n) if heavy else rng.uniform(100.0, 1000.0, n)
     mips = np.full(m, 1000.0) if identical else rng.uniform(500.0, 3000.0, m)
     etc = EtcMatrix(lengths, mips)
-    bound = max(theta * etc.share, etc.share + etc.entries.max())
+    bound = max(theta * etc.share, etc.share + float((lengths[:, None] / mips).max()))
     positions = rng.uniform(0.0, m, (4, n))
     # every task proposed onto VM 0 breaches as early as a plan can
     positions[0] = 0.0
