@@ -96,6 +96,35 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # each flag is declared once, on the parent of the commands that take it
+    trace_flags = argparse.ArgumentParser(add_help=False)
+    trace_flags.add_argument("--limit", type=int, default=None,
+                             help=_help("trace records to ingest", "limit"))
+    trace_flags.add_argument("--scale", dest="scale_mi_per_core_s", type=float, default=None,
+                             help=_help("MI per core-second of trace work", "scale_mi_per_core_s"))
+
+    run = argparse.ArgumentParser(add_help=False, parents=[trace_flags])
+    run.add_argument("--tasks", type=int, default=None,
+                     help=_help("synthetic task count", "tasks"))
+    fleet = run.add_mutually_exclusive_group()
+    fleet.add_argument("--vms", type=int, default=None,
+                       help=_help("fleet size, in identical 1000-MIPS VMs", "vms"))
+    fleet.add_argument("--mips", default=None,
+                       help="comma-separated VM speeds in MIPS, one VM each; instead of --vms")
+    run.add_argument("--min-length", dest="min_length_mi", type=float, default=None,
+                     help=_help("synthetic minimum length in MI", "min_length_mi"))
+    run.add_argument("--max-length", dest="max_length_mi", type=float, default=None,
+                     help=_help("synthetic maximum length in MI", "max_length_mi"))
+    run.add_argument("--trace", default=None, help="use a trace CSV instead of synthetic tasks")
+    for name, kind in _KNOB_KINDS.items():
+        flag = _KNOB_FLAGS.get(name, "--" + name.replace("_", "-"))
+        text = _KNOB_HELP.get(name, "")
+        if DEFAULTS[name] is not None:  # the others resolve per problem
+            text = _help(text, name)
+        run.add_argument(flag, dest=name, type=kind, default=None, help=text or None)
+    run.add_argument("--seed", type=int, default=None, help=_help("root seed", "seed"))
+    run.add_argument("--config", default=None, help="JSON config file or a previous manifest")
+
     parser = argparse.ArgumentParser(
         prog="swarmsched",
         description="Swarm-based cloud task scheduling: one-shot runs, benchmarks, traces.",
@@ -103,12 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    schedule = sub.add_parser("schedule", help="schedule one workload and print metrics JSON")
+    schedule = sub.add_parser("schedule", parents=[run],
+                              help="schedule one workload and print metrics JSON")
     schedule.add_argument("--algo", required=True, choices=ALGORITHMS)
-    _add_workload_flags(schedule)
-    _add_optimizer_flags(schedule)
-    schedule.add_argument("--seed", type=int, default=None, help=_help("root seed", "seed"))
-    schedule.add_argument("--config", default=None, help="JSON config file (flat keys)")
     schedule.add_argument(
         "--convergence-csv",
         dest="convergence_csv",
@@ -116,18 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-iteration log here (header only for one-shot schedulers)",
     )
 
-    bench = sub.add_parser("bench", help="replicated comparison across schedulers")
+    bench = sub.add_parser("bench", parents=[run], help="replicated comparison across schedulers")
     bench.add_argument(
         "--algos",
         default=None,
         help=f"comma-separated subset of: {', '.join(ALGORITHMS)} "
         f"(default {DEFAULTS['algos']})",
     )
-    _add_workload_flags(bench)
-    _add_optimizer_flags(bench)
     bench.add_argument("--replicates", type=int, default=None,
                        help=_help("runs per scheduler", "replicates"))
-    bench.add_argument("--seed", type=int, default=None, help=_help("root seed", "seed"))
     bench.add_argument(
         "--out",
         default=None,
@@ -135,43 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--jobs", type=int, default=None,
                        help=_help("max parallel workers", "jobs"))
-    bench.add_argument("--config", default=None, help="JSON config file or a previous manifest")
 
-    trace = sub.add_parser("trace", help="inspect or re-export a trace CSV")
+    trace = sub.add_parser("trace", parents=[trace_flags], help="inspect or re-export a trace CSV")
     trace.add_argument("--input", required=True, help="trace CSV path")
-    trace.add_argument("--limit", type=int, default=None,
-                       help=_help("records to ingest", "limit"))
-    trace.add_argument("--scale", dest="scale_mi_per_core_s", type=float, default=None,
-                       help=_help("MI per core-second", "scale_mi_per_core_s"))
     trace.add_argument("--export", default=None, help="write the ingested workload back as CSV")
     return parser
-
-
-def _add_workload_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tasks", type=int, default=None,
-                     help=_help("synthetic task count", "tasks"))
-    sub.add_argument("--vms", type=int, default=None,
-                     help=_help("fleet size, in identical 1000-MIPS VMs", "vms"))
-    sub.add_argument("--mips", default=None,
-                     help="comma-separated VM speeds in MIPS, one VM each; replaces --vms")
-    sub.add_argument("--min-length", dest="min_length_mi", type=float, default=None,
-                     help=_help("synthetic minimum length in MI", "min_length_mi"))
-    sub.add_argument("--max-length", dest="max_length_mi", type=float, default=None,
-                     help=_help("synthetic maximum length in MI", "max_length_mi"))
-    sub.add_argument("--trace", default=None, help="use a trace CSV instead of synthetic tasks")
-    sub.add_argument("--limit", type=int, default=None,
-                     help=_help("trace records to ingest", "limit"))
-    sub.add_argument("--scale", dest="scale_mi_per_core_s", type=float, default=None,
-                     help=_help("MI per core-second of trace work", "scale_mi_per_core_s"))
-
-
-def _add_optimizer_flags(sub: argparse.ArgumentParser) -> None:
-    for name, kind in _KNOB_KINDS.items():
-        flag = _KNOB_FLAGS.get(name, "--" + name.replace("_", "-"))
-        text = _KNOB_HELP.get(name, "")
-        if DEFAULTS[name] is not None:  # the others resolve per problem
-            text = _help(text, name)
-        sub.add_argument(flag, dest=name, type=kind, default=None, help=text or None)
 
 
 def _load_config_file(path: str) -> dict:
@@ -217,16 +208,12 @@ def resolve_settings(args: argparse.Namespace) -> dict:
     for key, value in vars(args).items():
         if key in settings and value is not None:
             settings[key] = value
+    if getattr(args, "vms", None) is not None:
+        settings["mips"] = None  # an explicit --vms beats a config file's mips
     for key in ("limit", "replicates", "jobs", "tasks", "vms"):
         if settings[key] < 1:
             raise UsageError(f"--{key} must be >= 1, got {settings[key]}")
-    # unused under --trace, but recorded in the manifest, which is strict JSON
-    for key in ("min_length_mi", "max_length_mi"):
-        if not math.isfinite(settings[key]):
-            raise UsageError(f"{key} must be finite, got {settings[key]}")
     if settings["mips"] is not None:
-        if getattr(args, "vms", None) is not None:
-            raise UsageError("--mips and --vms both give the fleet; use one of them")
         settings["mips"] = _parse_mips(settings["mips"])
         settings["vms"] = len(settings["mips"])
     if not 0 < settings["scale_mi_per_core_s"] < math.inf:
@@ -234,11 +221,11 @@ def resolve_settings(args: argparse.Namespace) -> dict:
             f"--scale must be finite and positive, got {settings['scale_mi_per_core_s']}"
         )
     # the config and spec constructors validate the remaining values, and
-    # their messages name the offending field, which is also the key
+    # their messages name the offending field, which is also the key; the
+    # synthetic keys are checked under --trace too, as the manifest records them
     try:
         _settings_config(settings, seed=settings["seed"])
-        if not settings["trace"]:
-            SyntheticSpec(settings["tasks"], settings["min_length_mi"], settings["max_length_mi"])
+        SyntheticSpec(settings["tasks"], settings["min_length_mi"], settings["max_length_mi"])
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return settings
@@ -275,12 +262,12 @@ def _workload_source(settings: dict) -> SyntheticSource | TraceSource:
     return SyntheticSource(settings["tasks"], settings["min_length_mi"], settings["max_length_mi"])
 
 
-def _build_manifest(command: str, settings: dict) -> dict:
+def _build_manifest(settings: dict) -> dict:
     config = {key: settings[key] for key in sorted(DEFAULTS)}
     return {
         "tool": "swarmsched",
         "version": __version__,
-        "command": command,
+        "command": "bench",
         "root_seed": settings["seed"],
         "config": config,
         # what a replay on another machine may differ in; ignored by --config
@@ -343,7 +330,7 @@ def cmd_bench(settings: dict) -> int:
     # the canonical comma-joined form so the manifest replays identically
     manifest_settings = dict(settings, algos=",".join(algos))
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(_build_manifest("bench", manifest_settings), fh, indent=2, sort_keys=True,
+        json.dump(_build_manifest(manifest_settings), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
 

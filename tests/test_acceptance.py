@@ -1,11 +1,13 @@
-"""Acceptance gate: nine end-to-end criteria, one visible scorecard line each.
+"""Acceptance gate: ten end-to-end criteria, one visible scorecard line each.
 
 Every test prints `criterion N [PASS|FAIL]: ...` on the real stdout so the
 scorecard is readable in any pytest run. Criteria 2 and 4 assert the paper's
 directional claims on the 800-task benchmark configuration exactly as stated:
 the hybrid matches or beats both single-strategy ablations on makespan and on
-load-balance CV. See the "Known results" section of the README for the
-measured numbers and for the update-rule fault that once made them fail.
+load-balance CV. Criterion 10 asserts the same claims on a fleet of mixed
+speeds, where the hybrid must also land near the makespan lower bound. See
+the "Known results" section of the README for the measured numbers and for
+the update-rule fault that once made them fail.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from swarmsched.domain import build_etc
+from swarmsched.domain import VmSpec, build_etc
 from swarmsched.encoding import capacity_threshold, decode_position, map_with_loads
 from swarmsched.harness import (
     ExperimentPlan,
     SyntheticSource,
     paired_t_test,
+    replicate_workloads,
     run_experiment,
     workload_seed,
     write_raw_csv,
@@ -54,18 +57,23 @@ def report(capsys, number: int, description: str, passed: bool, detail: str = ""
         print(f"\n{line}", flush=True)
 
 
-@pytest.fixture(scope="module")
-def benchmark_result():
-    """The 800-task reference comparison shared by criteria 2, 3 and 4."""
+def compare_on(fleet):
+    """The 800-task comparison of the hybrid against both ablations on a fleet."""
     plan = ExperimentPlan(
         workload_source=SyntheticSource(n=800, min_length_mi=100.0, max_length_mi=1000.0),
-        fleet=standard_fleet(4),
+        fleet=fleet,
         schedulers=("hybrid", "pso", "gwo"),
         replicates=30,
         root_seed=ROOT_SEED,
         config=BENCH_CONFIG,
     )
     return run_experiment(plan)
+
+
+@pytest.fixture(scope="module")
+def benchmark_result():
+    """The 800-task reference comparison shared by criteria 2, 3 and 4."""
+    return compare_on(standard_fleet(4))
 
 
 def mean_diff_of(result, metric, a, b):
@@ -360,3 +368,49 @@ def test_criterion_9_min_min_against_independent_greedy(capsys):
         assert mismatches == 0, detail
     finally:
         report(capsys, 9, "min-min equals an independently written greedy exactly", passed, detail)
+
+
+# --------------------------------------------------------------------------
+
+def test_criterion_10_directional_claims_on_a_heterogeneous_fleet(capsys):
+    passed = False
+    detail = ""
+    try:
+        fleet = tuple(VmSpec(j, float(speed)) for j, speed in enumerate(np.linspace(500, 3000, 4)))
+        result = compare_on(fleet)
+        names = ("hybrid", "pso", "gwo")
+        med = {name: result.aggregates[name].makespan_s.median for name in names}
+        cv_mean = {name: result.aggregates[name].cv.mean for name in names}
+        diff_pso = mean_diff_of(result, "makespan_s", "hybrid", "pso")
+        diff_gwo = mean_diff_of(result, "makespan_s", "hybrid", "gwo")
+        # the bound: each replicate's total work split perfectly by speed
+        plan = result.plan
+        total_mips = sum(vm.mips for vm in fleet)
+        bounds = [
+            float(workload.lengths_mi().sum()) / total_mips
+            for workload in replicate_workloads(plan.workload_source, plan.root_seed, plan.replicates)
+        ]
+        over_lb = float(np.median([
+            record.makespan_s / bounds[record.replicate]
+            for record in result.records if record.scheduler == "hybrid"
+        ]))
+        passed = (
+            all(med["hybrid"] <= med[name] for name in ("pso", "gwo"))
+            and diff_pso <= 0
+            and diff_gwo <= 0
+            and all(cv_mean["hybrid"] <= cv_mean[name] for name in ("pso", "gwo"))
+            and over_lb < 1.05
+        )
+        detail = (
+            f"median makespan hybrid {med['hybrid']:.4f} vs pso {med['pso']:.4f} "
+            f"vs gwo {med['gwo']:.4f}; mean diff vs pso {diff_pso:+.4f}, vs gwo {diff_gwo:+.4f}; "
+            f"mean CV hybrid {cv_mean['hybrid']:.5f} vs pso {cv_mean['pso']:.5f} "
+            f"vs gwo {cv_mean['gwo']:.5f}; hybrid median makespan/LB {over_lb:.4f}"
+        )
+        assert passed, detail
+    finally:
+        report(
+            capsys, 10,
+            "on a mixed-speed fleet the hybrid matches or beats both ablations and nears the bound",
+            passed, detail,
+        )

@@ -128,6 +128,20 @@ def test_mips_with_vms_is_a_usage_error(capsys):
     assert "--mips" in err and "--vms" in err
 
 
+@pytest.mark.parametrize(
+    "payload, flags",
+    [({"mips": [500, 1000, 3000]}, ["--vms", "2"]), ({"vms": 3}, ["--mips", "500,1000"])],
+)
+def test_explicit_fleet_flag_beats_the_config_files_fleet(payload, flags, capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**payload, "tasks": 6}), encoding="utf-8")
+    code, out, err = run_cli(["schedule", "--algo", "rr", "--config", str(config), *flags], capsys)
+    assert (code, err) == (0, "")
+    # the same run as with the flag alone: the config file's fleet is dropped
+    _, alone, _ = run_cli(["schedule", "--algo", "rr", "--tasks", "6", *flags], capsys)
+    assert out == alone
+
+
 @pytest.mark.parametrize("mips", ["0,1000", "500,-1", "", ",", "fast,1000", "1000,inf", "nan"])
 def test_bad_mips_is_a_usage_error(mips, capsys):
     code, _, err = run_cli(["schedule", "--algo", "rr", "--tasks", "4", "--mips", mips], capsys)
@@ -146,10 +160,12 @@ def test_bad_mips_list_in_config_is_a_usage_error(mips, capsys, tmp_path):
 
 def test_config_value_of_the_wrong_type_is_a_usage_error(capsys, tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"tasks": "800"}), encoding="utf-8")
-    code, _, err = run_cli(["schedule", "--algo", "rr", "--config", str(config)], capsys)
-    assert code == 2
-    assert "tasks" in err and "'800'" in err
+    # a JSON boolean is no number, though Python's bool is an int
+    for key, value in (("tasks", "800"), ("tasks", True), ("inertia", False)):
+        config.write_text(json.dumps({key: value}), encoding="utf-8")
+        code, _, err = run_cli(["schedule", "--algo", "rr", "--config", str(config)], capsys)
+        assert code == 2, (key, value)
+        assert key in err and repr(value) in err
 
 
 @pytest.mark.parametrize("algos", ["", ",", " , ", "hybrid,hybrid", "rr,minmin,rr"])
@@ -189,6 +205,9 @@ def test_nonpositive_scale_is_a_usage_error(capsys, tmp_path):
          "min_length_mi"),
         (["bench", "--algos", "rr", "--replicates", "1", "--max-length", "inf"], "max_length_mi"),
         (["bench", "--algos", "rr", "--replicates", "1", "--trace", "t.csv", "--min-length", "nan"],
+         "min_length_mi"),
+        # the synthetic keys are checked under --trace too: the manifest records them
+        (["bench", "--algos", "rr", "--replicates", "1", "--trace", "t.csv", "--min-length", "2000"],
          "min_length_mi"),
     ],
 )

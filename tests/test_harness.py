@@ -203,6 +203,11 @@ def test_parallel_execution_matches_serial():
         assert replace(a, wall_ms=0.0) == replace(b, wall_ms=0.0)
 
 
+def test_fewer_than_one_worker_is_rejected():
+    with pytest.raises(ValueError, match="jobs must be >= 1, got 0"):
+        run_experiment(small_plan(), jobs=0)
+
+
 def test_worker_count_is_capped_at_the_cell_count(monkeypatch):
     requested = []
 
