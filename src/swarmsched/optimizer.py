@@ -50,7 +50,14 @@ from dataclasses import dataclass, field, fields, replace
 from typing import IO, ClassVar, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist
+
+try:
+    # the compiled kernel that pdist(x) ends in for the Euclidean metric;
+    # pdist's array-API dispatch around it costs several times the kernel
+    # on a swarm of 20 short rows
+    from scipy.spatial._distance_pybind import pdist_euclidean as _pdist_euclidean
+except ImportError:  # a scipy that moved its private module: the same numbers, slower
+    from scipy.spatial.distance import pdist as _pdist_euclidean
 
 from .domain import EtcMatrix, VmSpec, Workload, build_etc
 from .encoding import capacity_threshold, decode_position, map_with_loads
@@ -111,6 +118,11 @@ class OptimizerConfig:
             value = getattr(self, knob.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{knob.name} must be finite, got {value}")
+        for name in ("swarm_size", "max_iterations", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass; numpy integer scalars are not ints
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.max_iterations < 1:
@@ -409,11 +421,16 @@ def combined_update(
 
 
 def swarm_diversity(positions: Sequence[Sequence[float]] | np.ndarray) -> float:
-    """Mean Euclidean distance over all unordered pairs of particle positions."""
+    """Mean Euclidean distance over all unordered pairs of particle positions.
+
+    The distances come from scipy's compiled kernel that pdist(points)
+    dispatches to, so they are pdist's bit for bit; on a scipy without that
+    private module, from pdist itself.
+    """
     points = np.asarray(positions, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("diversity undefined: need at least two particles")
-    distances = pdist(points)
+    distances = _pdist_euclidean(points)
     # the reduce and division that mean() runs, without its Python wrapper
     return float(np.add.reduce(distances) / distances.size)
 

@@ -8,10 +8,12 @@ weights the guidance (lambda_max > 0), then its r1 (n) and r2 (n) if it ever
 weights the velocities (lambda_min < 1). It then updates the particle, maps
 it and scores it from its loads with the scalar formulas. Nothing here calls
 into the code under test except the pieces both forms share by design: the
-schedules, diversity, mutation strength, load_vector and EtcMatrix's speed
-arcs. Positions are decoded and mapped by the sequential reference mapper,
-whose arc decode counts edges coordinate by coordinate, not by the block
-mapper.
+schedules, mutation strength, load_vector and EtcMatrix's speed arcs. The
+diversity is computed here from scipy's public pdist, so the oracle also
+checks the optimizer's diversity kernel and the mutation decisions that
+depend on it. Positions are decoded and mapped by the sequential reference
+mapper, whose arc decode counts edges coordinate by coordinate, not by the
+block mapper.
 
 The reference keeps its own global best, absorbed particle by particle from
 the personal-best updates, apart from the leader cascade, so that the oracle
@@ -24,6 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from swarmsched.domain import build_etc
 from swarmsched.encoding import capacity_threshold
@@ -33,7 +36,6 @@ from swarmsched.optimizer import (
     IterationStats,
     blend_weight,
     gwo_coefficient_a,
-    swarm_diversity,
 )
 
 from reference_mapper import map_with_loads
@@ -158,7 +160,8 @@ def step(state, etc, config, rng, log):
     t = state.iteration + 1
     m = etc.m
     threshold = capacity_threshold(etc, config.headroom_theta)
-    diversity = swarm_diversity(np.stack([p.position for p in state.particles]))
+    distances = pdist(np.stack([p.position for p in state.particles]))
+    diversity = float(np.add.reduce(distances) / distances.size)
     mutated = False
     if diversity < config.d_min:
         sigma = max(0.1 * m * (1.0 - diversity / config.d_min), 0.01 * m)

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import pdist
 
 import reference_optimizer as ref
 from swarmsched import optimizer
@@ -83,6 +87,20 @@ def test_config_validation():
         OptimizerConfig(beta=-1.0)
     with pytest.raises(ValueError, match="seed"):
         OptimizerConfig(seed=-1)
+
+
+@pytest.mark.parametrize("name", ["swarm_size", "max_iterations", "seed"])
+@pytest.mark.parametrize("value", [20.0, 5.0, 3.0, True, np.float64(4.0), "4"])
+def test_config_rejects_non_integer_counts(name, value):
+    # a float count used to construct and then fail mid-run, a float seed
+    # inside SeedSequence, and True ran as 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["swarm_size", "max_iterations", "seed"])
+def test_config_accepts_numpy_integers(name):
+    assert getattr(OptimizerConfig(**{name: np.int64(4)}), name) == 4
 
 
 def test_resolve_fills_instance_scaled_defaults(tiny_workload, tiny_fleet):
@@ -327,9 +345,71 @@ def test_one_update_keeps_uniform_decodes_uniform():
 
 
 def test_swarm_diversity_hand_values():
-    assert swarm_diversity([[0.0, 0.0], [3.0, 4.0]]) == pytest.approx(5.0)
+    # both exact in float64
+    assert swarm_diversity([[0.0, 0.0], [3.0, 4.0]]) == 5.0
     # collinear 0, 1, 2: pair distances 1, 2, 1
-    assert swarm_diversity([[0.0], [1.0], [2.0]]) == pytest.approx(4.0 / 3.0)
+    assert swarm_diversity([[0.0], [1.0], [2.0]]) == 4.0 / 3.0
+
+
+def _laid_out(points: np.ndarray, layout: str):
+    """points as the layout holds them: C or Fortran order, a strided view, nested lists."""
+    if layout == "fortran":
+        return np.asfortranarray(points)
+    if layout == "strided":
+        # every other row and column of a larger array
+        host = np.zeros((2 * points.shape[0], 2 * points.shape[1]))
+        host[::2, ::2] = points
+        return host[::2, ::2]
+    if layout == "lists":
+        return points.tolist()
+    return np.ascontiguousarray(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(2, 40), st.integers(1, 64)),
+        elements=st.floats(-1e6, 1e6),
+    ),
+    st.sampled_from(["c", "fortran", "strided", "lists"]),
+)
+def test_swarm_diversity_is_the_mean_of_pdist_bit_for_bit(points, layout):
+    distances = pdist(points)
+    want = float(np.add.reduce(distances) / distances.size)
+    assert swarm_diversity(_laid_out(points, layout)) == want
+
+
+def test_swarm_diversity_calls_the_compiled_kernel_not_pdist(monkeypatch):
+    # on an install with scipy's private pybind module, the diversity skips
+    # pdist's dispatch and calls the kernel it ends in
+    from scipy.spatial import _distance_pybind, distance
+
+    assert optimizer._pdist_euclidean is _distance_pybind.pdist_euclidean
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("swarm_diversity called scipy.spatial.distance.pdist")
+
+    monkeypatch.setattr(distance, "pdist", refuse)
+    assert swarm_diversity([[0.0, 0.0], [3.0, 4.0]]) == 5.0
+
+
+def test_swarm_diversity_falls_back_to_pdist_without_the_private_module(monkeypatch):
+    # a scipy that moved its private module: a fresh copy of the optimizer
+    # module, imported with that module missing, binds pdist and gives the
+    # same numbers
+    from scipy.spatial import distance
+
+    monkeypatch.setitem(sys.modules, "scipy.spatial._distance_pybind", None)
+    spec = importlib.util.spec_from_file_location(
+        "swarmsched._optimizer_without_pybind", optimizer.__file__
+    )
+    fallback = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fallback)
+    spec.loader.exec_module(fallback)
+    assert fallback._pdist_euclidean is distance.pdist
+    points = np.random.default_rng(7).uniform(0.0, 3.0, (20, 8))
+    assert fallback.swarm_diversity(points) == swarm_diversity(points)
 
 
 def test_swarm_diversity_needs_two_particles():
