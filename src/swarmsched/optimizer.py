@@ -32,14 +32,14 @@ plain expression's operations in the same order, so the results are bit
 for bit those of the plain expressions.
 
 A converged swarm keeps proposing plans it has already scored. So when the
-decode space is small, m ** n <= 2 ** 16 plans (8 tasks on 3 VMs have 3 ** 8
-= 6561), a run keeps a fitness table with one float64 per plan, NaN until
-the plan is evaluated: 512 KiB at most. Each evaluation decodes the swarm
-once, and only the rows whose plan has no entry are mapped and scored; the
-others read their fitness from the table. This is exact, because within a
-run a plan's assignment, loads and fitness depend only on the plan, the ETC
-matrix, the capacity threshold and beta. Above the bound, every row is
-mapped and scored.
+decode space is small, m ** n <= 2 ** 13 plans (8 tasks on 3 VMs have 3 ** 8
+= 6561), a run scores every plan once, up front, into a fitness table of one
+float64 per plan: 64 KiB at most. The table fills task by task over plan
+prefixes, so the plans that share a prefix share its placement, and each
+evaluation after that decodes the swarm once and reads its fitness from the
+table. This is exact, because within a run a plan's assignment, loads and
+fitness depend only on the plan, the ETC matrix, the capacity threshold and
+beta. Above the bound, every row is mapped and scored.
 """
 
 from __future__ import annotations
@@ -118,11 +118,13 @@ class OptimizerConfig:
             value = getattr(self, knob.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{knob.name} must be finite, got {value}")
-        for name in ("swarm_size", "max_iterations", "seed"):
-            value = getattr(self, name)
-            # bool is an int subclass; numpy integer scalars are not ints
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if knob.name in ("swarm_size", "max_iterations", "seed"):
+                # bool is an int subclass; numpy integer scalars are not ints
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{knob.name} must be an integer, got {value!r}")
+            elif isinstance(value, (bool, np.bool_)):
+                # a bool compares as 0 or 1, so the range checks below would pass it
+                raise ValueError(f"{knob.name} must be a number, got {value!r}")
         if self.swarm_size < 2:
             raise ValueError(f"swarm_size must be >= 2, got {self.swarm_size}")
         if self.max_iterations < 1:
@@ -180,8 +182,8 @@ class SwarmState:
     earlier leaders first, then lower rows. So leaders[0], alpha, is the
     global best, and the velocity rule pulls toward it. threshold is the
     mapper's capacity threshold, fixed for the run. fitness_table, when the
-    decode space is small enough to have one, holds the fitness of every plan
-    evaluated in this run, NaN elsewhere; it is only valid for the ETC
+    decode space is small enough to have one, holds the fitness of every
+    plan, filled when the swarm is initialized; it is only valid for the ETC
     matrix, threshold and beta it was filled with.
     """
 
@@ -271,9 +273,14 @@ def gwo_coefficient_a(t: int, config: OptimizerConfig) -> float:
 # 5000x8. At 5000 tasks a block is one row.
 _BLOCK_COORDS = 2**12
 
-# Largest decode space, in plans (m ** n), that a run keeps a fitness table
-# for: 512 KiB of float64.
-_TABLE_PLANS = 2**16
+# Largest decode space, in plans (m ** n), that a run scores whole into a
+# fitness table: 64 KiB of float64. The fill costs about 55-130 ns a plan on
+# up to 4 VMs, and mapping a plan when the swarm first proposes it about
+# 20 us, but a run proposes only a few hundred distinct plans: at 3 ** 8
+# plans filling is the cheaper, at 2 ** 16 it made runs 1.7-2.1 times as
+# long, and the two break even between 2 ** 14 and 2 ** 15
+# (BENCH_eager_table.json).
+_TABLE_PLANS = 2**13
 
 
 def _row_blocks(swarm: int, n: int) -> list[slice]:
@@ -458,11 +465,36 @@ def inject_mutation(
         _fold_position(kicks, period, block)
 
 
-def _fitness_table(n: int, m: int) -> np.ndarray | None:
-    """One NaN entry per plan if the decode space has at most _TABLE_PLANS plans."""
-    # m ** 17 exceeds the bound for every m >= 2, and 1 ** n is 1
-    plans = m ** min(n, 17)
-    return np.full(plans, np.nan) if plans <= _TABLE_PLANS else None
+def _fitness_table(etc: EtcMatrix, threshold: float, beta: float) -> np.ndarray | None:
+    """The fitness of every plan, at key sum_i d_i * m**i, if there are at most _TABLE_PLANS.
+
+    The plans fill task by task, as the mapper places them. The loads of
+    every prefix of the first i tasks are held VM-major, (m, m ** i), a
+    prefix's key in its column. Placing task i on VM d turns key p into
+    p + d * m**i, so the new prefixes are m blocks of the old, one per d.
+    The VM a breaching task falls back to, the first least-loaded, depends
+    only on the prefix, and the placed VM gains the task's ETC while every
+    other VM gains +0.0, which leaves its load as it was: each load is the
+    sum the mapper accumulates, bit for bit. The m ** (n - i) plans that
+    extend a prefix share its placement.
+    """
+    n, m = etc.n, etc.m
+    # 2 ** bits exceeds the bound, so m ** bits does for every m >= 2, and 1 ** n is 1
+    bits = _TABLE_PLANS.bit_length()
+    if m ** min(n, bits) > _TABLE_PLANS:
+        return None
+    vms = np.arange(m)[:, np.newaxis]
+    loads = np.zeros((m, 1))
+    for length in etc.lengths_mi.tolist():
+        costs = length / etc.mips
+        fallback = np.argmin(loads, axis=0)  # the first minimum, as loads.index(min(loads))
+        placed = np.where(loads + costs[:, np.newaxis] > threshold, fallback, vms)  # (d, prefixes)
+        gains = np.where(vms[:, np.newaxis] == placed, costs[:, np.newaxis, np.newaxis], 0.0)
+        loads = (loads[:, np.newaxis] + gains).reshape(m, -1)
+    # numpy sums a C-contiguous row of 8 or more loads pairwise but a column
+    # of the transposed view in sequence, and the mapper's loads are rows:
+    # from 8 VMs the two sums can differ in the last bit
+    return score_loads(loads.T if m < 8 else np.ascontiguousarray(loads.T), beta)[3]
 
 
 def _map_and_score(
@@ -483,23 +515,15 @@ def _evaluate_swarm(
     beta: float,
     table: np.ndarray | None,
 ) -> np.ndarray:
-    """Fitness of every row, through the fitness table if any.
+    """Fitness of every row: read from the fitness table if any, else mapped and scored.
 
-    Without a table every row is mapped and scored. With one, a row's key is
-    its plan d, decoded through the speed arcs as the mapper decodes it,
-    read as the base-m number sum_i d_i * m**i. Only the rows whose plan has
-    no entry yet are mapped and scored, and their fitness fills the table;
-    the other rows read their fitness from it.
+    A row's key in the table is its plan d, decoded through the speed arcs
+    as the mapper decodes it, read as the base-m number sum_i d_i * m**i.
     """
     if table is None:
         return _map_and_score(positions, etc, threshold, beta)
     keys = decode_position(positions, etc.m, etc.arcs) @ etc.m ** np.arange(positions.shape[1])
-    fit = table[keys]
-    fresh = np.isnan(fit).nonzero()[0]
-    if fresh.size:
-        fit[fresh] = _map_and_score(positions[fresh], etc, threshold, beta)
-        table[keys[fresh]] = fit[fresh]
-    return fit
+    return table[keys]
 
 
 def initialize_swarm(
@@ -513,7 +537,9 @@ def initialize_swarm(
     `seeded_positions` occupy the first slots verbatim. Each must have shape
     (n,) and every coordinate in [0, m), the interval every moved position
     folds into. The rest of the swarm is one uniform draw from rng, in row
-    order. Config must already be resolved.
+    order. Config must already be resolved. On a decode space small enough
+    for a fitness table, every plan is scored into it first, and the swarm
+    reads its fitness from it.
     """
     n, m = etc.n, etc.m
     seeded = [np.asarray(p, dtype=float) for p in (seeded_positions or [])]
@@ -530,7 +556,7 @@ def initialize_swarm(
             )
     threshold = capacity_threshold(etc, config.headroom_theta)
     positions = np.vstack([*seeded, rng.uniform(0.0, m, (config.swarm_size - len(seeded), n))])
-    table = _fitness_table(n, m)
+    table = _fitness_table(etc, threshold, config.beta)
     fit = _evaluate_swarm(positions, etc, threshold, config.beta, table)
     # the three lowest rows, ties in row order; a pack of two repeats beta as delta
     top = np.argsort(fit, kind="stable")[np.minimum(np.arange(3), config.swarm_size - 1)]

@@ -103,6 +103,26 @@ def test_config_accepts_numpy_integers(name):
     assert getattr(OptimizerConfig(**{name: np.int64(4)}), name) == 4
 
 
+# a value each float knob accepts, whole so that it can be given as an int
+FLOAT_KNOBS = {"lambda_max": 1, "lambda_min": 0, "inertia": 1, "c1": 2, "c2": 2, "v_max": 3,
+               "d_min": 0, "beta": 2, "headroom_theta": 2}
+
+
+@pytest.mark.parametrize("name", FLOAT_KNOBS)
+@pytest.mark.parametrize("value", [True, False, np.True_])
+def test_config_rejects_bool_float_knobs(name, value):
+    # a bool compares as 0 or 1: inertia=True and d_min=False used to run
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        OptimizerConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", FLOAT_KNOBS)
+@pytest.mark.parametrize("kind", [int, float, np.float64])
+def test_config_accepts_ints_and_numpy_floats_for_float_knobs(name, kind):
+    value = kind(FLOAT_KNOBS[name])
+    assert getattr(OptimizerConfig(**{name: value}), name) == value
+
+
 def test_resolve_fills_instance_scaled_defaults(tiny_workload, tiny_fleet):
     etc = build_etc(tiny_workload, tiny_fleet)  # n=2, m=2
     cfg = OptimizerConfig().resolve(etc)
@@ -993,13 +1013,14 @@ def test_run_computes_the_capacity_threshold_once(monkeypatch):
 
 
 def test_run_maps_each_plan_once_when_the_decode_space_is_small(monkeypatch):
-    # 3 ** 8 = 6561 plans: a row whose plan was scored earlier in the run is
-    # read from the fitness table, not mapped again
+    # 3 ** 8 = 6561 plans: the fitness table scores each plan once, up front,
+    # and every evaluation reads it, so the mapper sees one row, alpha's,
+    # mapped at the end for the plan run returns
     mapped = count_mapped_rows(monkeypatch)
     workload = generate_synthetic(SyntheticSpec(8, seed=3))
     cfg = OptimizerConfig(seed=3)
     run(workload, standard_fleet(3), cfg)
-    assert 0 < mapped[0] < cfg.swarm_size * (cfg.max_iterations + 1)
+    assert mapped[0] == 1
 
 
 def test_run_maps_every_row_above_the_table_bound(monkeypatch):
@@ -1013,8 +1034,8 @@ def test_run_maps_every_row_above_the_table_bound(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, m, plans", [(16, 2, 2**16), (8, 4, 4**8), (8, 3, 3**8), (5000, 1, 1), (17, 2, None),
-                    (800, 4, None), (5000, 8, None)]
+    "n, m, plans", [(13, 2, 2**13), (8, 3, 3**8), (5000, 1, 1), (14, 2, None), (8, 4, None),
+                    (17, 2, None), (800, 4, None), (5000, 8, None)]
 )
 def test_fitness_table_covers_the_decode_space_up_to_the_bound(n, m, plans):
     workload, fleet, etc = small_problem(n=n, m=m)
@@ -1024,7 +1045,7 @@ def test_fitness_table_covers_the_decode_space_up_to_the_bound(n, m, plans):
         assert table is None
     else:
         assert table.shape == (plans,)
-        assert 1 <= np.count_nonzero(~np.isnan(table)) <= 2
+        assert np.isfinite(table).all()
 
 
 def test_fitness_table_holds_each_rows_fitness_at_its_plan_key():

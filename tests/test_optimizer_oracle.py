@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_mapper
 import reference_optimizer as ref
 from swarmsched import optimizer
-from swarmsched.domain import build_etc
-from swarmsched.encoding import capacity_threshold, map_with_loads
+from swarmsched.domain import EtcMatrix, build_etc
+from swarmsched.encoding import capacity_threshold, encode_plan, map_with_loads
+from swarmsched.metrics import default_beta, score_loads
 from swarmsched.optimizer import (
     ConvergenceLog,
     OptimizerConfig,
@@ -154,12 +156,12 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
 @example(n=8, m=3, swarm=20, steps=3, seeds=0, variant="gwo",
          forced_mutation=False, edge_seed=False, seed=14,
          inertia=0.7, v_max=None)
-# both sides of the fitness-table bound, m ** n <= 2 ** 16: the largest
-# tabulated spaces (2 ** 16 and 4 ** 8 plans) and the smallest space above it
-@example(n=16, m=2, swarm=20, steps=4, seeds=2, variant="hybrid",
+# both sides of the fitness-table bound, m ** n <= 2 ** 13: the largest
+# tabulated space (2 ** 13 plans) and the smallest spaces above it
+@example(n=13, m=2, swarm=20, steps=4, seeds=2, variant="hybrid",
          forced_mutation=True, edge_seed=False, seed=5,
          inertia=0.7, v_max=None)
-@example(n=8, m=4, swarm=20, steps=4, seeds=0, variant="pso",
+@example(n=14, m=2, swarm=20, steps=4, seeds=0, variant="pso",
          forced_mutation=False, edge_seed=False, seed=6,
          inertia=0.7, v_max=None)
 @example(n=17, m=2, swarm=20, steps=4, seeds=1, variant="hybrid",
@@ -216,3 +218,68 @@ def test_matrix_swarm_matches_per_particle_reference(
         got = {"pso": run_pure_pso, "gwo": run_pure_gwo}[variant](workload, fleet, config)
         seeded = None
     assert_runs_equal(got, ref.run(workload, fleet, config, seeded_positions=seeded))
+
+
+def most_tabulated_tasks(m):
+    """The most tasks whose decode space on m VMs fits the fitness table; 30 for one VM."""
+    if m == 1:
+        return 30
+    n = 1
+    while m ** (n + 1) <= optimizer._TABLE_PLANS:
+        n += 1
+    return n
+
+
+# a fleet of 1 to 10 VMs, and a task count whose decode space fits the table
+SHAPES = st.integers(1, 10).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(1, most_tabulated_tasks(m)))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=SHAPES,
+    speeds=st.sampled_from(["identical", "het", "tied"]),
+    lengths=st.sampled_from(["random", "equal", "round"]),
+    theta=st.floats(1.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# rows of 8 or more loads, which numpy sums pairwise: scored as columns of
+# the VM-major loads, these tables would differ in 384, 729 and 100 plans
+@example(shape=(8, 4), speeds="het", lengths="random", theta=1.2, seed=2)
+@example(shape=(9, 4), speeds="het", lengths="random", theta=1.2, seed=9)
+@example(shape=(10, 3), speeds="het", lengths="random", theta=1.2, seed=17)
+# the largest tabulated spaces
+@example(shape=(2, 13), speeds="het", lengths="random", theta=1.2, seed=3)
+@example(shape=(3, 8), speeds="het", lengths="random", theta=1.2, seed=4)
+# equal ETCs at theta = 1: the fallback ties, and is often the decoded VM
+@example(shape=(3, 7), speeds="identical", lengths="equal", theta=1.0, seed=5)
+# round lengths at theta = 1: some loads land exactly on the threshold and
+# stay, which a breach test of >= would reroute in 216 plans
+@example(shape=(3, 6), speeds="tied", lengths="round", theta=1.0, seed=4)
+def test_fitness_table_equals_the_reference_mapper_on_every_plan(
+    shape, speeds, lengths, theta, seed
+):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    mips = {
+        "identical": np.full(m, 1000.0),
+        "het": rng.uniform(500.0, 3000.0, m),
+        "tied": rng.choice([600.0, 1100.0, 1900.0], m),
+    }[speeds]
+    lengths_mi = {
+        "random": rng.uniform(100.0, 1000.0, n),
+        "equal": np.full(n, 700.0),
+        "round": rng.choice([200.0, 300.0, 500.0], n),
+    }[lengths]
+    etc = EtcMatrix(lengths_mi, mips)
+    threshold = capacity_threshold(etc, theta)
+    beta = default_beta(etc)
+    table = optimizer._fitness_table(etc, threshold, beta)
+    plans = np.arange(m**n)[:, np.newaxis] // m ** np.arange(n) % m
+    loads = np.array(
+        [reference_mapper.map_with_loads(encode_plan(plan, etc.arcs), etc, threshold)[1]
+         for plan in plans]
+    )
+    # the mapper's loads are C-ordered rows, one per plan
+    assert table.tolist() == score_loads(loads, beta)[3].tolist()
