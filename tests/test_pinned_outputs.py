@@ -1,10 +1,11 @@
 """Pinned outputs: small `bench` and `schedule` runs reproduce committed files.
 
-For a synthetic and a trace workload on three identical VMs, and a
-synthetic workload on three VMs of 500, 1000 and 3000 MIPS, one `bench`
+For a synthetic and a trace workload on three identical VMs, a synthetic
+workload on three VMs of 500, 1000 and 3000 MIPS, and two fleets whose
+size is a power of two (four identical VMs, and eight VMs of
+linspace(500, 3000, 8) MIPS, the scale benchmark's fleet), one `bench`
 over all seven schedulers and one `schedule --algo hybrid` must give the
-files in
-tests/data/pinned_outputs.json byte for byte: raw.csv and aggregates.json
+files in tests/data/pinned_outputs.json byte for byte: raw.csv and aggregates.json
 without their wall times, ttests.json, every convergence CSV, and the
 schedule JSON with its convergence CSV. A refactor must leave them
 unchanged. A change that moves the RNG streams on purpose regenerates them
@@ -25,6 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swarmsched.cli import main
@@ -39,6 +41,10 @@ SOURCES = {
     "synthetic": ["--vms", "3", "--tasks", "12"],
     "trace": ["--vms", "3", "--trace", str(TRACE), "--limit", "14"],
     "heterogeneous": ["--mips", "500,1000,3000", "--tasks", "12"],
+    "identical-4": ["--vms", "4", "--tasks", "12"],
+    # repr round-trips each float, so the CLI parses linspace's values exactly
+    "heterogeneous-8": ["--mips", ",".join(map(repr, np.linspace(500.0, 3000.0, 8).tolist())),
+                        "--tasks", "12"],
 }
 
 
