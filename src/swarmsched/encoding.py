@@ -15,6 +15,7 @@ run the sequential placement loop.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -43,23 +44,35 @@ def decode_position(
     below m, |x_i| is its own remainder.
 
     The edge count is one vectorized comparison pass per edge, with no
-    data-dependent branch: on fresh coordinates it beats a binary search
-    (searchsorted, side="right", which it equals bit for bit) up to about
-    100 VMs, and loses beyond, where its cost grows with m.
+    data-dependent branch, summed in the narrowest unsigned integer that
+    holds m - 1 (one byte up to 256 VMs) and widened to int64 once. On
+    fresh coordinates it beats a binary search (searchsorted, side="right",
+    which it equals bit for bit) up to 256 VMs, runs about even with it up
+    to about 320, and loses beyond, where its cost grows with m.
     """
     if m < 1:
         raise ValueError(f"need at least one VM, got m={m}")
+    if arcs is not None and len(arcs) != m - 1:
+        raise ValueError(f"arcs must hold m - 1 = {m - 1} edges for m={m}, got {len(arcs)}")
     coords = np.abs(np.asarray(position, dtype=float))  # a fresh copy, so fmod may write into it
-    # the reduce that coords.max(initial=0.0) runs; NaN and +-inf leave it non-finite
+    # the reduce that coords.max(initial=0.0) runs; NaN and +-inf leave it
+    # non-finite. top is a float64, a float subclass, and math.isfinite reads
+    # it in a twentieth of np.isfinite's time
     top = np.maximum.reduce(coords, axis=None, initial=0.0)
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise ValueError("non-finite coordinate in position")
     if top >= m:
         # mod in float space, as |x| may pass int64; on x >= 0 fmod is mod bit for bit
         np.fmod(coords, m, out=coords)
     if arcs is None:
         return coords.astype(np.int64)
-    return np.add.reduce(np.less_equal.outer(arcs, coords), axis=0, dtype=np.intp)
+    # the comparisons are bytes of 0 or 1, so read as uint8 they sum in one
+    # byte with no cast. A count never exceeds m - 1, so the narrow sum
+    # cannot wrap; the one-byte case skips min_scalar_type, which costs a
+    # tenth of a small block's decode.
+    hits = np.less_equal.outer(arcs, coords).view(np.uint8)
+    narrow = np.uint8 if m <= 256 else np.min_scalar_type(m - 1)
+    return np.add.reduce(hits, axis=0, dtype=narrow).astype(np.intp)
 
 
 def encode_plan(plan: Sequence[int] | np.ndarray, arcs: np.ndarray | None = None) -> np.ndarray:

@@ -289,6 +289,23 @@ def _row_blocks(swarm: int, n: int) -> list[slice]:
     return [slice(start, min(start + block, swarm)) for start in range(0, swarm, block)]
 
 
+# 1 / period for every period that is a power of two, 2 ** 0 to 2 ** 62.
+# Dividing by 2 ** k and multiplying by the exact 2 ** -k round the same real
+# number, so they agree bit for bit, signed zeros and subnormals included,
+# and a multiply costs less than half a divide. For any other period the
+# reciprocal is inexact, and x * (1 / period) can differ from x / period.
+_EXACT_RECIPROCALS = {2**k: 2.0**-k for k in range(63)}
+
+
+def _over_period(x: np.ndarray, period: float, out: np.ndarray) -> None:
+    """Write x / period into out, bit for bit, by an exact reciprocal where one exists."""
+    reciprocal = _EXACT_RECIPROCALS.get(period)
+    if reciprocal is None:
+        np.divide(x, period, out=out)
+    else:
+        np.multiply(x, reciprocal, out=out)
+
+
 def _wrap_offset(offset: np.ndarray, period: float, work: np.ndarray) -> None:
     """Reduce offsets modulo the period to their shortest form, |d| <= period / 2.
 
@@ -296,7 +313,7 @@ def _wrap_offset(offset: np.ndarray, period: float, work: np.ndarray) -> None:
     work, of offset's shape, is overwritten on the way.
     """
     # cheaper than np.mod on floats
-    np.divide(offset, period, out=work)
+    _over_period(offset, period, work)
     np.rint(work, out=work)
     work *= period
     offset -= work
@@ -309,7 +326,7 @@ def _fold_position(position: np.ndarray, period: float, out: np.ndarray) -> None
     negative coordinate on period itself, which decodes like 0.
     """
     # position - period * floor(position / period), one operation at a time
-    np.divide(position, period, out=out)
+    _over_period(position, period, out)
     np.floor(out, out=out)
     out *= period
     np.subtract(position, out, out=out)
