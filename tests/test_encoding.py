@@ -45,6 +45,20 @@ def test_decode_validation():
         decode_position([np.inf], m=2)
 
 
+@pytest.mark.parametrize(
+    "position, m, arcs, message",
+    [
+        # three edges on two VMs would decode 1.9 to VM 3
+        ([1.9, 0.2], 2, [0.5, 1.0, 1.5], "m - 1 = 1 edges for m=2, got 3"),
+        ([1.9, 0.2], 4, [1.0], "m - 1 = 3 edges for m=4, got 1"),
+        ([0.5], 1, [0.5], "m - 1 = 0 edges for m=1, got 1"),
+    ],
+)
+def test_decode_rejects_arcs_that_are_not_m_minus_one_edges(position, m, arcs, message):
+    with pytest.raises(ValueError, match=message):
+        decode_position(position, m, np.array(arcs))
+
+
 def test_capacity_policy_requires_headroom_at_least_one(tiny_workload, tiny_fleet):
     etc = build_etc(tiny_workload, tiny_fleet)
     capacity_threshold(etc, 1.0)  # boundary accepted

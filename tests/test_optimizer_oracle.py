@@ -119,7 +119,7 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.one_of(st.integers(1, 40), st.just(MULTI_BLOCK_N)),
-    m=st.integers(1, 6),
+    m=st.integers(1, 8),
     swarm=st.sampled_from([2, 3, 7, 20]),
     steps=st.integers(1, 4),
     seeds=st.integers(0, 3),
@@ -132,6 +132,21 @@ def test_oracle_multi_block_case_ends_in_a_partial_block():
 )
 @example(n=MULTI_BLOCK_N, m=4, swarm=7, steps=3, seeds=1, variant="hybrid",
          forced_mutation=True, edge_seed=False, seed=11,
+         inertia=0.7, v_max=None)
+# the scale benchmark's fleet size: a period of 8, which the wrap and fold
+# multiply by its exact reciprocal, over several blocks and a partial last
+# block, with the mutation's fold forced on, and in each ablation
+@example(n=MULTI_BLOCK_N, m=8, swarm=7, steps=3, seeds=1, variant="hybrid",
+         forced_mutation=True, edge_seed=True, seed=19,
+         inertia=0.7, v_max=None)
+@example(n=MULTI_BLOCK_N, m=8, swarm=7, steps=3, seeds=0, variant="hybrid",
+         forced_mutation=False, edge_seed=False, seed=20,
+         inertia=0.7, v_max=None)
+@example(n=MULTI_BLOCK_N, m=8, swarm=7, steps=3, seeds=0, variant="pso",
+         forced_mutation=False, edge_seed=False, seed=21,
+         inertia=0.7, v_max=None)
+@example(n=MULTI_BLOCK_N, m=8, swarm=7, steps=3, seeds=0, variant="gwo",
+         forced_mutation=False, edge_seed=False, seed=22,
          inertia=0.7, v_max=None)
 @example(n=8, m=3, swarm=2, steps=4, seeds=0, variant="hybrid",
          forced_mutation=False, edge_seed=False, seed=1,
@@ -218,6 +233,44 @@ def test_matrix_swarm_matches_per_particle_reference(
         got = {"pso": run_pure_pso, "gwo": run_pure_gwo}[variant](workload, fleet, config)
         seeded = None
     assert_runs_equal(got, ref.run(workload, fleet, config, seeded_positions=seeded))
+
+
+# every power-of-two period up to 2 ** 10, which the wrap and fold multiply
+# by its exact reciprocal, and periods that they divide by
+PERIODS = [2**k for k in range(11)] + [3, 5, 6, 12]
+
+
+def period_edges(period):
+    """Coordinates where a quotient one ulp off would tip rint or floor, and subnormals.
+
+    The multiples of period / 2 (0, +-period / 2, +-period, ...) and the
+    floats next to them, nextafter(period, 0) among them, both signs; a
+    reciprocal of 3 gives a different wrap at 1.5000000000000002.
+    """
+    halves = np.arange(9) * (period / 2)
+    subnormal = np.finfo(float).smallest_subnormal
+    points = np.concatenate([
+        halves,
+        np.nextafter(halves, np.inf),
+        np.nextafter(halves, -np.inf),
+        [subnormal, 3 * subnormal, np.finfo(float).smallest_normal / 3],
+    ])
+    return np.concatenate([points, -points])
+
+
+@pytest.mark.parametrize("period", PERIODS)
+@settings(max_examples=20, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6), max_size=40))
+def test_wrap_and_fold_equal_their_division_forms(period, values):
+    # the reference's plain forms divide by the period; the helpers must
+    # give their every bit, -0.0 and subnormals too
+    x = np.concatenate([period_edges(period), values])
+    offset = x.copy()
+    optimizer._wrap_offset(offset, period, np.empty_like(x))
+    npt.assert_array_equal(offset.view(np.int64), ref._wrap(x, period).view(np.int64))
+    folded = np.empty_like(x)
+    optimizer._fold_position(x, period, folded)
+    npt.assert_array_equal(folded.view(np.int64), ref._fold(x, period).view(np.int64))
 
 
 def most_tabulated_tasks(m):
