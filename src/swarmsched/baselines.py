@@ -37,58 +37,48 @@ def min_min(workload: Workload, vms: Sequence[VmSpec]) -> np.ndarray:
     The ETC is rank-1: an EtcMatrix holds only lengths and speeds, and each
     cost is computed as length / speed where it is read. IEEE division and
     addition round monotonically, so on every VM the shortest remaining task
-    completes first. The tasks are sorted once by (length, id), and a round
-    takes the earliest completion over the VMs for the shortest remaining
-    task. The pairs that tie with it form, on each VM, a prefix of the
-    remaining tasks in sorted order, and the round picks the lowest task id
-    among them. Tasks of equal length are interchangeable and so leave in id
-    order: the round steps over each run of them through one pointer. This is
-    O(n log n + n·m) and commits exactly the plan of the whole-table greedy.
+    completes first, and tasks of equal length leave in id order. One list
+    holds the runs of equal length that still have tasks, longest first. A
+    round takes the earliest completion over the VMs for the lowest id of the
+    last, shortest run, then scans toward the front while a run's lowest id
+    ties that completion, and commits the lowest task id among the ties.
+    This costs O(n log n + n·m), plus one list shift for each division tie
+    that empties a run other than the shortest, and commits exactly the plan
+    of the whole-table greedy.
     """
     etc = build_etc(workload, vms)
-    order = np.argsort(etc.lengths_mi, kind="stable")
+    # by descending (length, id): each run in live lists its tasks still to
+    # commit by descending id, so its lowest id is last, as is the shortest run
+    order = np.argsort(etc.lengths_mi, kind="stable")[::-1]
     sorted_lengths = etc.lengths_mi[order]
-    starts = np.flatnonzero(np.r_[True, sorted_lengths[1:] != sorted_lengths[:-1]])
-    order = order.tolist()
+    edges = np.flatnonzero(np.r_[True, sorted_lengths[1:] != sorted_lengths[:-1], True])
+    order, edges = order.tolist(), edges.tolist()
     lengths, speeds = etc.lengths_mi.tolist(), etc.mips.tolist()
-    # run r's tasks still to commit are order[next_pos[r]:run_end[r]]; the
-    # runs still holding tasks form a list from head linked through after
-    next_pos = starts.tolist()
-    run_end = next_pos[1:] + [etc.n]
-    no_run = len(next_pos)
-    after = list(range(1, no_run + 1))
-    head = 0
+    live = [order[a:b] for a, b in zip(edges, edges[1:])]
     ready = [0.0] * etc.m
     out = [0] * etc.n
-    while head != no_run:
-        task = order[next_pos[head]]
+    while live:
+        pick = len(live) - 1
+        task = live[pick][-1]
         length = lengths[task]
         completion = [r + length / s for r, s in zip(ready, speeds)]
         best = min(completion)
-        vm = completion.index(best)
-        if completion.count(best) == 1:
-            tied = [vm]
-        else:
-            tied = [j for j, c in enumerate(completion) if c == best]
-        run, before = head, -1
-        previous, later = head, after[head]
-        while later != no_run:
-            candidate = order[next_pos[later]]
+        tied = [j for j, c in enumerate(completion) if c == best]
+        vm, k = tied[0], pick - 1
+        while k >= 0:
+            candidate = live[k][-1]
             length = lengths[candidate]
             tied = [j for j in tied if ready[j] + length / speeds[j] == best]
             if not tied:
                 break
             if candidate < task:
-                task, vm, run, before = candidate, tied[0], later, previous
-            previous, later = later, after[later]
+                task, vm, pick = candidate, tied[0], k
+            k -= 1
         out[task] = vm
         ready[vm] = best
-        next_pos[run] += 1
-        if next_pos[run] == run_end[run]:
-            if before < 0:
-                head = after[run]
-            else:
-                after[before] = after[run]
+        live[pick].pop()
+        if not live[pick]:
+            del live[pick]
     return np.array(out, dtype=np.int64)
 
 

@@ -15,6 +15,7 @@ __all__ = [
     "EtcMatrix",
     "build_etc",
     "check_assignment",
+    "check_integer",
 ]
 
 
@@ -128,6 +129,12 @@ def check_assignment(assignment: Sequence[int] | np.ndarray, n: int, m: int) -> 
     if np.any((vm_of < 0) | (vm_of >= m)):
         raise ValueError(f"invalid assignment: VM index outside [0, {m})")
     return vm_of.astype(np.int64, copy=False)
+
+
+def check_integer(name: str, value: object) -> None:
+    """Reject a count or seed that is a bool or not an int or numpy integer, naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def build_etc(workload: Workload, vms: Sequence[VmSpec]) -> EtcMatrix:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .baselines import min_min, minmin_seeded_hybrid, round_robin, seeded_random
-from .domain import VmSpec, Workload, build_etc
+from .domain import VmSpec, Workload, build_etc, check_integer
 from .metrics import MetricsReport, evaluate_assignment
 from .optimizer import ConvergenceLog, OptimizerConfig, run, run_pure_gwo, run_pure_pso
 from .workload import DEFAULT_SCALE_MI_PER_CORE_S, SyntheticSpec, generate_synthetic, ingest_trace
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("hybrid", "pso", "gwo", "rr", "minmin", "minmin-hybrid", "random")
-_ALGORITHM_INDEX = {name: i for i, name in enumerate(ALGORITHMS)}
 
 TTEST_METRICS = ("makespan_s", "throughput_tps", "cv")
 
@@ -89,12 +88,14 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "fleet", tuple(self.fleet))
         object.__setattr__(self, "schedulers", tuple(self.schedulers))
+        check_integer("replicates", self.replicates)
+        check_integer("root_seed", self.root_seed)
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not self.schedulers:
             raise ValueError("plan needs at least one scheduler")
         for name in self.schedulers:
-            if name not in _ALGORITHM_INDEX:
+            if name not in ALGORITHMS:
                 raise ValueError(
                     f"unknown scheduler '{name}'; valid: {', '.join(ALGORITHMS)}"
                 )
@@ -171,7 +172,7 @@ class ExperimentResult:
 
 def scheduler_seed(root_seed: int, scheduler: str, replicate: int) -> int:
     """64-bit run seed, injective over (scheduler, replicate) within a plan."""
-    return _derive_seed(root_seed, _SCHEDULER_STREAM, _ALGORITHM_INDEX[scheduler], replicate)
+    return _derive_seed(root_seed, _SCHEDULER_STREAM, ALGORITHMS.index(scheduler), replicate)
 
 
 def workload_seed(root_seed: int, replicate: int) -> int:

@@ -59,7 +59,7 @@ try:
 except ImportError:  # a scipy that moved its private module: the same numbers, slower
     from scipy.spatial.distance import pdist as _pdist_euclidean
 
-from .domain import EtcMatrix, VmSpec, Workload, build_etc
+from .domain import EtcMatrix, VmSpec, Workload, build_etc, check_integer
 from .encoding import capacity_threshold, decode_position, map_with_loads
 from .metrics import MetricsReport, default_beta, evaluate_assignment, score_loads
 
@@ -119,9 +119,7 @@ class OptimizerConfig:
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{knob.name} must be finite, got {value}")
             if knob.name in ("swarm_size", "max_iterations", "seed"):
-                # bool is an int subclass; numpy integer scalars are not ints
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"{knob.name} must be an integer, got {value!r}")
+                check_integer(knob.name, value)
             elif isinstance(value, (bool, np.bool_)):
                 # a bool compares as 0 or 1, so the range checks below would pass it
                 raise ValueError(f"{knob.name} must be a number, got {value!r}")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Task, VmSpec, Workload
+from .domain import Task, VmSpec, Workload, check_integer
 
 __all__ = [
     "SyntheticSpec",
@@ -39,6 +39,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integer("n", self.n)
+        check_integer("seed", self.seed)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in ("min_length_mi", "max_length_mi"):
@@ -107,9 +109,7 @@ def ingest_trace(
                 raise TraceParseError(
                     line, f"non-numeric cpu_request/duration_s: {row[1]!r},{row[2]!r}"
                 ) from None
-            if not (math.isfinite(cpu) and math.isfinite(duration)):
-                continue
-            if not (0 < cpu <= 1 and duration > 0):
+            if not (0 < cpu <= 1 and 0 < duration < math.inf):
                 continue
             tasks.append(Task(len(tasks), cpu * duration * scale_mi_per_core_s))
             if len(tasks) == limit:

@@ -127,6 +127,20 @@ def test_plan_validation():
         small_plan(root_seed=-1)
 
 
+@pytest.mark.parametrize("name", ["replicates", "root_seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "4"])
+def test_plan_rejects_non_integer_counts(name, value):
+    # a float count used to construct and then fail mid-run, a float seed
+    # inside SeedSequence, and True ran as 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        small_plan(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["replicates", "root_seed"])
+def test_plan_accepts_numpy_integers(name):
+    assert getattr(small_plan(**{name: np.int64(4)}), name) == 4
+
+
 def test_run_experiment_produces_one_record_per_cell():
     plan = small_plan()
     result = run_experiment(plan)

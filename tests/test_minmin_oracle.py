@@ -78,6 +78,12 @@ def test_longer_task_with_lower_id_wins_a_division_tie():
     npt.assert_array_equal(min_min(workload, fleet), [0, 0])
     for mips in ([1000.0, 1000.0], [1000.0, 3000.0], [3000.0, 1000.0]):
         assert_plans_equal([longer, shorter, longer], mips)
+    # the 16 shorter fillers go first and leave both VMs ready at 1.0, where
+    # three adjacent lengths complete at one time, so the round must scan
+    # past the first longer run to reach task 0
+    top = np.nextafter(longer, np.inf)
+    assert len({1.0 + length / 1000.0 for length in (top, longer, shorter)}) == 1
+    assert_plans_equal([top, longer, shorter] + [125.0] * 16, [1000.0, 1000.0])
 
 
 @pytest.mark.parametrize("seed", range(4))

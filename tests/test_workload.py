@@ -53,6 +53,21 @@ def test_synthetic_spec_rejects_non_finite_lengths(lengths, field):
         SyntheticSpec(5, *lengths)
 
 
+@pytest.mark.parametrize("name", ["n", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(4.0), "4"])
+def test_synthetic_spec_rejects_non_integer_counts(name, value):
+    # a float n used to construct and then fail inside generate_synthetic
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SyntheticSpec(**{"n": 5, name: value})
+
+
+@pytest.mark.parametrize("name", ["n", "seed"])
+def test_synthetic_spec_accepts_numpy_integers(name):
+    spec = SyntheticSpec(**{"n": 5, name: np.int64(4)})
+    assert getattr(spec, name) == 4
+    assert len(generate_synthetic(spec)) == spec.n
+
+
 def test_generate_synthetic_reproducible_and_in_range():
     spec = SyntheticSpec(200, 100.0, 1000.0, seed=42)
     a = generate_synthetic(spec)
